@@ -8,81 +8,4 @@ an exact offline oracle, and a seeded simulation harness round out the
 package.
 """
 
-from .config import ConfigError, ExperimentConfig, PRESETS, parse_config
-from .env import DerivedBounds, EnvironmentSpec, Feedback, derived_bounds, validate_env
-from .estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
-from .harness import (
-    EpisodeTrace,
-    ReplicationSummary,
-    SlopeEstimate,
-    gap_slope,
-    run_episode,
-    run_replications,
-)
-from .oracle import (
-    GapReport,
-    OracleResult,
-    best_response,
-    brute_force_theta_star,
-    compute_gap,
-    dinkelbach_theta_star,
-    expected_ratio,
-)
-from .policies import (
-    ClassicUcbPolicy,
-    DolRmPolicy,
-    FixedMapPolicy,
-    LearningRateSchedule,
-    OracleRmPolicy,
-    PolicyKind,
-    PolicyMap,
-    ThompsonSamplingPolicy,
-    learning_rate,
-    make_policy,
-    ratio_step,
-)
-from .runner import OutputBundle, run_experiment
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArmStatistics",
-    "ClassicUcbPolicy",
-    "ConfigError",
-    "DerivedBounds",
-    "DolRmPolicy",
-    "EnvironmentSpec",
-    "EpisodeTrace",
-    "EstimatorConfig",
-    "ExperimentConfig",
-    "Feedback",
-    "FixedMapPolicy",
-    "GapReport",
-    "LearningRateSchedule",
-    "OracleResult",
-    "OracleRmPolicy",
-    "OutputBundle",
-    "PRESETS",
-    "PolicyKind",
-    "PolicyMap",
-    "ReplicationSummary",
-    "SlopeEstimate",
-    "ThompsonSamplingPolicy",
-    "best_response",
-    "brute_force_theta_star",
-    "compute_gap",
-    "derived_bounds",
-    "dinkelbach_theta_star",
-    "expected_ratio",
-    "gap_slope",
-    "lcb_cost",
-    "learning_rate",
-    "make_policy",
-    "parse_config",
-    "ratio_step",
-    "run_episode",
-    "run_experiment",
-    "run_replications",
-    "ucb_reward",
-    "validate_env",
-]

@@ -43,6 +43,11 @@ def _cmd_run(config_path: str) -> int:
             f"mean final ratio {summary.mean_final_ratio:.6g} "
             f"(gap {summary.mean_gap:.3g} over {len(summary.seeds)} seeds)"
         )
+    for policy, slope in bundle.gap_slopes.items():
+        if slope is None:
+            print(f"gap slope {policy}: not estimable, a mean gap reached 0 (below measurement floor)")
+        else:
+            print(f"gap slope {policy}: {slope:.4f}")
     print(f"outputs written to {bundle.output_dir}")
     return 0
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .env import DEFAULT_COST_FLOOR, EnvironmentSpec, validate_env
-from .policies import LEARNING_RATE_MODES, PolicyKind
+from .policies import LEARNING_RATE_MODES, PolicyKind, PolicyMap, validate_policy_map
 
 DEFAULT_NOISE_SIGMA = 1.0
 DEFAULT_SEED_COUNT = 20
@@ -108,6 +108,8 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
     if env is None:
         _fail("environment", "missing required key (preset name or inline object)")
     if isinstance(env, str):
+        if "environment_name" in raw:
+            _fail("environment_name", "applies only to an inline environment")
         preset = PRESETS.get(env)
         if preset is None:
             _fail(
@@ -310,19 +312,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     for kind in policies:
         if kind.kind == "fixed":
-            if len(kind.actions) != environment.num_types:
-                _fail(
-                    "policies",
-                    f"fixed policy {kind.name!r} has {len(kind.actions)} actions "
-                    f"for {environment.num_types} types",
-                )
-            for s, a in enumerate(kind.actions):
-                if not 0 <= a < environment.num_arms(s):
-                    _fail(
-                        "policies",
-                        f"fixed policy {kind.name!r}: actions[{s}] = {a} out of range "
-                        f"for type {s} with {environment.num_arms(s)} arms",
-                    )
+            try:
+                validate_policy_map(environment, PolicyMap(kind.actions))
+            except ValueError as err:
+                raise ConfigError(f"policies: fixed policy {kind.name!r}: {err}") from None
 
     return ExperimentConfig(
         environment=environment,

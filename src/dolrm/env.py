@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_COST_FLOOR = 1e-6
-
-
-class Feedback(NamedTuple):
-    """One round of bandit feedback for the chosen arm."""
-
-    reward: float
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -123,63 +115,16 @@ def derived_bounds(spec: EnvironmentSpec) -> DerivedBounds:
     return DerivedBounds(r_min, r_max, c_min, c_max, r_min / c_max, r_max / c_min)
 
 
-def sample_task(spec: EnvironmentSpec, rng: np.random.Generator) -> int:
-    """Draw one task type by inverse CDF.
-
-    Returns the first index whose cumulative probability strictly exceeds a
-    single uniform draw, which makes arrival sequences reproducible across
-    implementations sharing the uniform stream.
-    """
-    u = rng.random()
-    acc = 0.0
-    for s, p in enumerate(spec.arrival_probs):
-        acc += p
-        if acc > u:
-            return s
-    # accumulated rounding can leave the last cumulative at 1 - ulp
-    return spec.num_types - 1
-
-
 def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sample_task: n types from n uniforms, same stream order."""
+    """Draw n task types by inverse CDF, one uniform per type in stream order.
+
+    Each type is the first index whose cumulative probability strictly
+    exceeds its uniform draw, which makes arrival sequences reproducible
+    across implementations sharing the uniform stream. Accumulated rounding
+    can leave the last cumulative at 1 - ulp, so draws above it map to the
+    last type.
+    """
     cum = np.cumsum(spec.arrival_probs)
     draws = rng.random(n)
     idx = np.searchsorted(cum, draws, side="right")
     return np.minimum(idx, spec.num_types - 1).astype(np.int64)
-
-
-def _arm_means(spec: EnvironmentSpec, s: int, a: int) -> tuple[float, float]:
-    if not 0 <= s < spec.num_types:
-        raise IndexError(f"task type {s} out of range for {spec.num_types} types")
-    arms_s = spec.arms[s]
-    if not 0 <= a < len(arms_s):
-        raise IndexError(f"arm {a} out of range for type {s} with {len(arms_s)} arms")
-    return arms_s[a]
-
-
-def sample_feedback(
-    spec: EnvironmentSpec, s: int, a: int, rng: np.random.Generator
-) -> Feedback:
-    """Sample noisy (reward, cost) feedback for arm a of type s.
-
-    Consumes exactly two standard normals per call (reward noise first, then
-    cost noise) so the stream position depends only on the number of calls;
-    sigma = 0 returns the exact means and consumes no randomness.
-    """
-    r, c = _arm_means(spec, s, a)
-    sigma = spec.noise_sigma
-    if sigma == 0.0:
-        return Feedback(r, c)
-    g = rng.standard_normal(2)
-    return Feedback(r + sigma * g[0], c + sigma * g[1])
-
-
-def sample_feedback_batch(
-    spec: EnvironmentSpec, s: int, a: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n independent draws for one cell, matching n sequential sample_feedback calls."""
-    r, c = _arm_means(spec, s, a)
-    if spec.noise_sigma == 0.0:
-        return np.full(n, r), np.full(n, c)
-    g = rng.standard_normal((n, 2))
-    return r + spec.noise_sigma * g[:, 0], c + spec.noise_sigma * g[:, 1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .env import EnvironmentSpec
 
@@ -36,26 +36,22 @@ class ArmStatistics:
     """Pull counts and incremental reward/cost means, one cell per (type, arm).
 
     Means follow the running-average update mean <- (mean*N + x) / (N+1), so
-    memory stays O(1) per cell. With ``retain_samples`` the raw observations
-    are kept as well, letting tests recompute means from scratch.
+    memory stays O(1) per cell.
     """
 
-    __slots__ = ("counts", "mean_rewards", "mean_costs", "total", "samples")
+    __slots__ = ("counts", "mean_rewards", "mean_costs", "total")
 
-    def __init__(self, arms_per_type: Sequence[int], retain_samples: bool = False):
+    def __init__(self, arms_per_type: Sequence[int]):
         if len(arms_per_type) == 0 or any(k < 1 for k in arms_per_type):
             raise ValueError("every type needs at least one arm")
         self.counts: list[list[int]] = [[0] * k for k in arms_per_type]
         self.mean_rewards: list[list[float]] = [[0.0] * k for k in arms_per_type]
         self.mean_costs: list[list[float]] = [[0.0] * k for k in arms_per_type]
         self.total = 0
-        self.samples: Optional[list[list[list[tuple[float, float]]]]] = (
-            [[[] for _ in range(k)] for k in arms_per_type] if retain_samples else None
-        )
 
     @classmethod
-    def for_spec(cls, spec: EnvironmentSpec, retain_samples: bool = False) -> "ArmStatistics":
-        return cls([len(arms_s) for arms_s in spec.arms], retain_samples)
+    def for_spec(cls, spec: EnvironmentSpec) -> "ArmStatistics":
+        return cls([len(arms_s) for arms_s in spec.arms])
 
     def record(self, s: int, a: int, reward: float, cost: float) -> None:
         """Fold one observation into the cell's count and running means."""
@@ -67,8 +63,6 @@ class ArmStatistics:
         self.mean_costs[s][a] = (self.mean_costs[s][a] * n + cost) / n1
         self.counts[s][a] = n1
         self.total += 1
-        if self.samples is not None:
-            self.samples[s][a].append((reward, cost))
 
 
 def ucb_reward(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> float:

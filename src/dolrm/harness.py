@@ -1,4 +1,4 @@
-"""Seeded episode runner, replication aggregation, and gap-decay diagnostics."""
+"""Seeded episode runner, per-cell aggregation of final ratios, and the log-log slope fit."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .env import EnvironmentSpec, sample_tasks, validate_env
-from .oracle import dinkelbach_theta_star
 from .policies import PolicyKind, make_policy
 
 # Stream labels for the per-episode RNG split. Keeping arrival, feedback and
@@ -192,80 +191,8 @@ def summarize_finals(
     )
 
 
-def run_replications(
-    spec: EnvironmentSpec,
-    kind: PolicyKind,
-    horizon: int,
-    seeds: Sequence[int],
-    *,
-    lr_mode: str = "decaying",
-    stride: Optional[int] = None,
-    theta_star: Optional[float] = None,
-) -> ReplicationSummary:
-    """Independent episodes per seed, aggregated against the oracle ratio."""
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    spec = validate_env(spec)
-    if theta_star is None:
-        theta_star = dinkelbach_theta_star(spec).theta_star
-    finals = [
-        run_episode(spec, kind, horizon, seed, lr_mode=lr_mode, stride=stride).final_ratio
-        for seed in seeds
-    ]
-    return summarize_finals(kind.name, horizon, seeds, finals, theta_star)
-
-
 def fit_loglog_slope(horizons: Sequence[float], gaps: Sequence[float]) -> float:
     """Least-squares slope of log(gap) against log(horizon)."""
     x = np.log(np.asarray(horizons, dtype=float))
     y = np.log(np.asarray(gaps, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
-
-
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Gap decay over a horizon grid.
-
-    ``slope`` is None (and ``below_floor`` True) when some mean gap reached
-    exactly 0, i.e. convergence fell below the measurement floor and the
-    log-log fit is undefined. That outcome is a report, not an error.
-    """
-
-    horizons: tuple[int, ...]
-    mean_gaps: tuple[float, ...]
-    slope: Optional[float]
-    below_floor: bool
-
-
-def gap_slope(
-    spec: EnvironmentSpec,
-    kind: PolicyKind,
-    horizon_grid: Sequence[int],
-    seeds: Sequence[int],
-    *,
-    lr_mode: str = "decaying",
-    theta_star: Optional[float] = None,
-) -> SlopeEstimate:
-    """Replicated mean gaps per horizon and their log-log decay slope.
-
-    A fresh policy is built for every horizon (inside run_episode) because
-    the confidence bonus and the fixed-sqrtT step size are horizon-tuned.
-    """
-    grid = tuple(int(h) for h in horizon_grid)
-    if len(grid) < 3:
-        raise ValueError(f"horizon grid needs at least 3 points (got {len(grid)})")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("horizon grid must be strictly increasing")
-    spec = validate_env(spec)
-    if theta_star is None:
-        theta_star = dinkelbach_theta_star(spec).theta_star
-    gaps = tuple(
-        run_replications(
-            spec, kind, horizon, seeds, lr_mode=lr_mode, theta_star=theta_star
-        ).mean_gap
-        for horizon in grid
-    )
-    if min(gaps) == 0.0:
-        return SlopeEstimate(grid, gaps, None, True)
-    return SlopeEstimate(grid, gaps, fit_loglog_slope(grid, gaps), False)

@@ -33,14 +33,6 @@ class OracleResult:
     trace: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Distance of a realized cumulative ratio from theta_star, and T times it."""
-
-    gap: float
-    regret: float
-
-
 def expected_ratio(spec: EnvironmentSpec, pmap: PolicyMap) -> float:
     """Expected per-round reward over expected per-round cost under a fixed map."""
     num = 0.0
@@ -118,15 +110,3 @@ def brute_force_theta_star(
             best_ratio = ratio
             best_actions = actions
     return OracleResult(best_ratio, PolicyMap(best_actions), n_maps)
-
-
-def compute_gap(
-    theta_star: float, cum_reward: float, cum_cost: float, horizon: int
-) -> GapReport:
-    """Gap |theta_star - cum_reward/cum_cost| and the regret horizon * gap."""
-    if cum_cost <= 0.0:
-        raise ValueError(f"cumulative cost must be positive (got {cum_cost!r})")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    gap = abs(theta_star - cum_reward / cum_cost)
-    return GapReport(gap, horizon * gap)

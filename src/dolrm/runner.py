@@ -72,6 +72,7 @@ class OutputBundle:
     config_path: Path
     summaries: tuple[ReplicationSummary, ...]
     oracle: OracleResult
+    gap_slopes: dict[str, Optional[float]]
 
 
 def _fixed_map_ratios(env: EnvironmentSpec, policies: tuple[PolicyKind, ...]) -> dict[str, float]:
@@ -101,16 +102,18 @@ def _summary_rows(summaries: tuple[ReplicationSummary, ...]) -> list[dict]:
 
 
 def _gap_slopes(cfg: ExperimentConfig, summaries: tuple[ReplicationSummary, ...]) -> dict[str, Optional[float]]:
-    """Log-log slope of mean gap vs horizon per policy, when estimable."""
+    """Log-log slope of mean gap vs horizon per policy.
+
+    Empty for grids of fewer than three horizons. A policy's slope is None
+    when one of its mean gaps is exactly 0: convergence fell below the
+    measurement floor and the log-log fit is undefined.
+    """
     if len(cfg.horizons) < 3:
         return {}
     slopes: dict[str, Optional[float]] = {}
     for kind in cfg.policies:
         gaps = [s.mean_gap for s in summaries if s.policy == kind.name]
-        if len(gaps) == len(cfg.horizons) and min(gaps) > 0.0:
-            slopes[kind.name] = fit_loglog_slope(cfg.horizons, gaps)
-        else:
-            slopes[kind.name] = None
+        slopes[kind.name] = fit_loglog_slope(cfg.horizons, gaps) if min(gaps) > 0.0 else None
     return slopes
 
 
@@ -137,9 +140,15 @@ def _summary_table(summaries: tuple[ReplicationSummary, ...], theta_star: float)
 
 
 def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
-    """Run every (policy, horizon, seed) episode in cfg and write outputs."""
+    """Run every (policy, horizon, seed) episode in cfg and write outputs.
+
+    Each (policy, horizon) cell's final ratios across seeds become one
+    summary; grids of three or more horizons also get gap-decay slopes.
+    """
     if not cfg.policies:
         raise ValueError("config has no policies to run")
+    if not cfg.seeds:
+        raise ValueError("config needs at least one seed")
     out_dir = Path(cfg.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -182,6 +191,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     }
     _write_atomic(oracle_path, json.dumps(oracle_doc, indent=2) + "\n")
 
+    gap_slopes = _gap_slopes(cfg, summaries)
     summary_json_path = out_dir / "summary.json"
     summary_doc = {
         "environment": cfg.environment_name,
@@ -189,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
         "optimal_actions": list(oracle.policy.actions),
         "fixed_map_expected_ratios": fixed_ratios,
         "results": _summary_rows(summaries),
-        "gap_slopes": _gap_slopes(cfg, summaries),
+        "gap_slopes": gap_slopes,
     }
     _write_atomic(summary_json_path, json.dumps(summary_doc, indent=2) + "\n")
 
@@ -205,4 +215,5 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
         config_path=config_path,
         summaries=summaries,
         oracle=oracle,
+        gap_slopes=gap_slopes,
     )

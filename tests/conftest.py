@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -33,6 +35,49 @@ def seven_type_env(sigma: float = 1.0) -> EnvironmentSpec:
         ),
         sigma,
     )
+
+
+class Feedback(NamedTuple):
+    """One round of bandit feedback for the chosen arm."""
+
+    reward: float
+    cost: float
+
+
+def sample_task(spec: EnvironmentSpec, rng) -> int:
+    """Scalar reference for dolrm.env.sample_tasks: one task type by inverse CDF.
+
+    Returns the first index whose cumulative probability strictly exceeds a
+    single uniform draw.
+    """
+    u = rng.random()
+    acc = 0.0
+    for s, p in enumerate(spec.arrival_probs):
+        acc += p
+        if acc > u:
+            return s
+    # accumulated rounding can leave the last cumulative at 1 - ulp
+    return spec.num_types - 1
+
+
+def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
+    """Scalar reference for run_episode's bulk noise pre-draw.
+
+    Consumes exactly two standard normals per call (reward noise first, then
+    cost noise) so the stream position depends only on the number of calls;
+    sigma = 0 returns the exact means and consumes no randomness.
+    """
+    if not 0 <= s < spec.num_types:
+        raise IndexError(f"task type {s} out of range for {spec.num_types} types")
+    arms_s = spec.arms[s]
+    if not 0 <= a < len(arms_s):
+        raise IndexError(f"arm {a} out of range for type {s} with {len(arms_s)} arms")
+    r, c = arms_s[a]
+    sigma = spec.noise_sigma
+    if sigma == 0.0:
+        return Feedback(r, c)
+    g = rng.standard_normal(2)
+    return Feedback(r + sigma * g[0], c + sigma * g[1])
 
 
 class StubRng:

@@ -12,14 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dolrm.env import EnvironmentSpec, derived_bounds, sample_task
-from dolrm.harness import (
-    ARRIVAL_STREAM,
-    POLICY_STREAM,
-    gap_slope,
-    run_replications,
-    stream_rng,
-)
+from dolrm.env import derived_bounds
+from dolrm.harness import ARRIVAL_STREAM, POLICY_STREAM, stream_rng
 from dolrm.estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
 from dolrm.oracle import brute_force_theta_star, dinkelbach_theta_star, expected_ratio
 from dolrm.policies import (
@@ -32,7 +26,7 @@ from dolrm.policies import (
 )
 from dolrm.runner import run_experiment
 
-from conftest import seven_type_env, two_type_env
+from conftest import sample_task, seven_type_env, two_type_env
 from test_cli import tiny_config
 from test_oracle import random_spec
 
@@ -58,13 +52,19 @@ def criterion(request):
     return check
 
 
-def replicate_all(spec, theta_star):
-    return {
-        kind: run_replications(
-            spec, PolicyKind(kind), HORIZON, SEEDS, theta_star=theta_star
-        )
-        for kind in LEARNERS
-    }
+def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,)):
+    cfg = tiny_config(
+        tmp_path_factory.mktemp("acceptance"),
+        environment=spec,
+        policies=tuple(PolicyKind(kind) for kind in kinds),
+        horizons=horizons,
+        seeds=SEEDS,
+    )
+    return run_experiment(cfg)
+
+
+def replicate_all(tmp_path_factory, spec):
+    return {s.policy: s for s in replicate(tmp_path_factory, spec, LEARNERS).summaries}
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +88,25 @@ def p06_star(p06_spec):
 
 
 @pytest.fixture(scope="module")
-def p08_summaries(p08_spec, p08_star):
-    return replicate_all(p08_spec, p08_star)
+def p08_summaries(tmp_path_factory, p08_spec):
+    return replicate_all(tmp_path_factory, p08_spec)
 
 
 @pytest.fixture(scope="module")
-def p06_summaries(p06_spec, p06_star):
-    return replicate_all(p06_spec, p06_star)
+def p06_summaries(tmp_path_factory, p06_spec):
+    return replicate_all(tmp_path_factory, p06_spec)
+
+
+@pytest.fixture(scope="module")
+def p08_slope_run(tmp_path_factory, p08_spec):
+    start = time.perf_counter()
+    out = replicate(tmp_path_factory, p08_spec, ("dolrm",), (1_000, 4_000, 16_000, 64_000))
+    return out.gap_slopes["dolrm"], time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def seven_type_run(tmp_path_factory):
+    return replicate(tmp_path_factory, seven_type_env(), ("dolrm",))
 
 
 def test_acceptance_1_fixed_map_ratios_exact(criterion, p08_spec):
@@ -157,19 +169,11 @@ def test_acceptance_4_baseline_ordering(criterion, p08_summaries, p06_summaries)
     criterion(4, "baseline ordering", ok, "; ".join(details))
 
 
-def test_acceptance_5_gap_decay_slope(criterion, p08_spec, p08_star):
-    start = time.perf_counter()
-    est = gap_slope(
-        p08_spec,
-        PolicyKind("dolrm"),
-        (1_000, 4_000, 16_000, 64_000),
-        SEEDS,
-        theta_star=p08_star,
-    )
-    elapsed = time.perf_counter() - start
-    passed = not est.below_floor and est.slope <= -0.15 and elapsed < 60.0
+def test_acceptance_5_gap_decay_slope(criterion, p08_slope_run):
+    slope, elapsed = p08_slope_run
+    passed = slope is not None and slope <= -0.15 and elapsed < 60.0
     criterion(5, "gap decay slope", passed,
-            f"slope={est.slope:.4f} elapsed={elapsed:.1f}s")
+            f"slope={slope:.4f} elapsed={elapsed:.1f}s")
 
 
 def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
@@ -249,10 +253,9 @@ def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
     criterion(6, "invariant fuzz suite", ok)
 
 
-def test_acceptance_7_seven_type_convergence(criterion):
-    spec = seven_type_env()
-    star = dinkelbach_theta_star(spec).theta_star
-    summary = run_replications(spec, PolicyKind("dolrm"), HORIZON, SEEDS, theta_star=star)
+def test_acceptance_7_seven_type_convergence(criterion, seven_type_run):
+    (summary,) = seven_type_run.summaries
+    star = seven_type_run.oracle.theta_star
     gap = abs(summary.mean_final_ratio - star)
     criterion(7, "seven-type convergence", gap <= 0.1,
             f"mean={summary.mean_final_ratio:.4f} target={star:.4f} gap={gap:.4f}")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -193,8 +194,29 @@ class TestCommandLine:
         proc = run_cli("run", str(config))
         assert proc.returncode == 0
         assert "outputs written to" in proc.stdout
+        assert "gap slope" not in proc.stdout
         assert (tmp_path / "results" / "summary.json").exists()
         assert (tmp_path / "results" / "traces" / "trace-reverse-T200-seed1.csv").exists()
+
+    def test_run_reports_gap_slopes_for_horizon_grids(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": {"arrival_probs": [1.0], "arms": [[[2, 1], [1, 1]]], "noise_sigma": 0},
+                    "policies": [{"kind": "dolrm"}, {"kind": "fixed", "actions": [0], "label": "best"}],
+                    "horizons": [50, 100, 200],
+                    "seeds": {"count": 1},
+                    "output_dir": str(tmp_path / "results"),
+                }
+            )
+        )
+        proc = run_cli("run", str(config))
+        assert proc.returncode == 0
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("gap slope")]
+        assert len(lines) == 2
+        assert re.fullmatch(r"gap slope dolrm: -?\d+\.\d{4}", lines[0])
+        assert lines[1].startswith("gap slope best: not estimable")
 
     def test_bad_config_exits_nonzero_with_diagnostic(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -56,6 +56,10 @@ class TestPresets:
         cfg = parse(tmp_path, noise_sigma=0)
         assert cfg.environment.noise_sigma == 0.0
 
+    def test_environment_name_rejected_next_to_preset(self, tmp_path):
+        with pytest.raises(ConfigError, match="environment_name.*only to an inline environment"):
+            parse(tmp_path, environment_name="custom")
+
 
 class TestDefaults:
     def test_defaults_fill_in(self, tmp_path):

@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dolrm.env import (
-    EnvironmentSpec,
-    Feedback,
-    derived_bounds,
-    sample_feedback,
-    sample_feedback_batch,
-    sample_task,
-    sample_tasks,
-    validate_env,
-)
+from dolrm.env import EnvironmentSpec, derived_bounds, sample_tasks, validate_env
+from dolrm.harness import run_episode
+from dolrm.policies import PolicyKind
 
-from conftest import StubRng, two_type_env
+from conftest import Feedback, StubRng, sample_feedback, sample_task, two_type_env
 
 
 class TestValidation:
@@ -153,24 +146,18 @@ class TestFeedbackSampling:
         with pytest.raises(IndexError, match="arm 7"):
             sample_feedback(p08, 1, 7, StubRng())
 
-    def test_batch_matches_scalar_draws(self, p08):
-        n = 100
-        br, bc = sample_feedback_batch(p08, 1, 0, n, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        scalar = [sample_feedback(p08, 1, 0, rng) for _ in range(n)]
-        assert br.tolist() == [f.reward for f in scalar]
-        assert bc.tolist() == [f.cost for f in scalar]
-
     def test_noiseless_batch(self, p08_noiseless):
-        br, bc = sample_feedback_batch(p08_noiseless, 1, 1, 4, StubRng())
-        assert br.tolist() == [1.0] * 4
-        assert bc.tolist() == [1.0] * 4
+        # sigma = 0: the episode's feedback is the exact arm means every round
+        trace = run_episode(p08_noiseless, PolicyKind("fixed", (0, 1)), 8, 0, stride=1)
+        for s, a, r, c in zip(trace.task_types, trace.arms, trace.rewards, trace.costs):
+            assert (r, c) == p08_noiseless.arms[s][a]
 
-    def test_empirical_means(self, p08):
+    def test_empirical_means(self):
         n = 1_000_000
-        rewards, costs = sample_feedback_batch(p08, 1, 0, n, np.random.default_rng(11))
-        assert abs(float(rewards.mean()) - 3.0) < 5e-3
-        assert abs(float(costs.mean()) - 2.0) < 5e-3
+        spec = EnvironmentSpec((1.0,), (((3.0, 2.0),),), 1.0)
+        trace = run_episode(spec, PolicyKind("fixed", (0,)), n, 11)
+        assert abs(trace.cum_rewards[-1] / n - 3.0) < 5e-3
+        assert abs(trace.cum_costs[-1] / n - 2.0) < 5e-3
 
 
 def test_spec_canonicalizes_numeric_types():

@@ -1,18 +1,16 @@
+import json
 import math
 
-import numpy as np
 import pytest
 
-from dolrm.env import EnvironmentSpec, derived_bounds, sample_feedback, sample_task
+from dolrm.env import EnvironmentSpec, derived_bounds
 from dolrm.harness import (
     ARRIVAL_STREAM,
     FEEDBACK_STREAM,
     POLICY_STREAM,
     default_stride,
     fit_loglog_slope,
-    gap_slope,
     run_episode,
-    run_replications,
     stream_rng,
     summarize_finals,
 )
@@ -23,13 +21,16 @@ from dolrm.policies import (
     ThompsonSamplingPolicy,
     make_policy,
 )
+from dolrm.runner import run_experiment
 
-from conftest import two_type_env
+from conftest import sample_feedback, sample_task, two_type_env
+from test_cli import tiny_config
 
 SINGLETON = EnvironmentSpec((1.0,), (((2.0, 1.0),),), 0.0)
 DOLRM = PolicyKind("dolrm")
 REVERSE = PolicyKind("fixed", (0, 1), "reverse")
 GREEDY = PolicyKind("fixed", (0, 0), "greedy")
+ONLY = PolicyKind("fixed", (0,), "only")
 
 
 class TestStreams:
@@ -165,21 +166,30 @@ class TestCountBookkeeping:
             assert sum(n for row in policy.stats.counts for n in row) == horizon
 
 
+def experiment(tmp_path, spec, kinds, horizons, seeds):
+    cfg = tiny_config(
+        tmp_path, environment=spec, policies=kinds, horizons=horizons, seeds=seeds
+    )
+    return run_experiment(cfg)
+
+
 class TestReplications:
-    def test_single_seed_reports_zero_std(self, p08):
-        summary = run_replications(p08, DOLRM, 200, [7])
+    def test_single_seed_reports_zero_std(self):
+        summary = summarize_finals("x", 200, [7], [2.5], theta_star=2.6)
         assert summary.std_final_ratio == 0.0
         assert summary.seeds == (7,)
         assert len(summary.final_ratios) == 1
 
-    def test_no_arrival_randomness_means_identical_finals(self):
-        summary = run_replications(SINGLETON, PolicyKind("fixed", (0,), "only"), 100, range(5))
+    def test_no_arrival_randomness_means_identical_finals(self, tmp_path):
+        out = experiment(tmp_path, SINGLETON, (ONLY,), (100,), tuple(range(5)))
+        (summary,) = out.summaries
         assert summary.std_final_ratio == 0.0
         assert set(summary.final_ratios) == {2.0}
 
-    def test_rejects_empty_seed_list(self, p08):
+    def test_rejects_empty_seed_list(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):
-            run_replications(p08, DOLRM, 10, [])
+            experiment(tmp_path, two_type_env(), (DOLRM,), (10,), ())
+        assert not (tmp_path / "out").exists()
 
     def test_summary_statistics(self):
         summary = summarize_finals("x", 100, (0, 1), (2.4, 2.8), theta_star=2.6)
@@ -187,10 +197,6 @@ class TestReplications:
         assert summary.std_final_ratio == pytest.approx(0.2)
         assert summary.mean_gap == pytest.approx(0.2)
         assert summary.mean_regret == pytest.approx(20.0)
-
-    def test_accepts_precomputed_theta_star(self, p08):
-        summary = run_replications(p08, GREEDY, 100, [0], theta_star=2.6)
-        assert summary.theta_star == 2.6
 
 
 class TestGapSlope:
@@ -203,20 +209,19 @@ class TestGapSlope:
         slope = fit_loglog_slope([1_000, 4_000, 16_000], [0.4, 0.2, 0.1])
         assert slope == pytest.approx(-0.5, abs=1e-12)
 
-    def test_rejects_short_or_unsorted_grids(self, p08):
-        with pytest.raises(ValueError, match="at least 3"):
-            gap_slope(p08, DOLRM, (10, 20), [0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            gap_slope(p08, DOLRM, (10, 10, 20), [0])
+    def test_short_grids_report_no_slopes(self, tmp_path):
+        out = experiment(tmp_path, SINGLETON, (ONLY,), (10, 20), (0,))
+        assert out.gap_slopes == {}
+        assert json.loads(out.summary_json_path.read_text())["gap_slopes"] == {}
 
-    def test_zero_gap_reports_measurement_floor(self):
-        est = gap_slope(SINGLETON, PolicyKind("fixed", (0,), "only"), (1, 2, 3), [0])
-        assert est.below_floor is True
-        assert est.slope is None
-        assert est.mean_gaps == (0.0, 0.0, 0.0)
+    def test_zero_gap_reports_measurement_floor(self, tmp_path):
+        out = experiment(tmp_path, SINGLETON, (ONLY,), (1, 2, 3), (0,))
+        assert out.gap_slopes == {"only": None}
+        assert [s.mean_gap for s in out.summaries] == [0.0, 0.0, 0.0]
+        assert json.loads(out.summary_json_path.read_text())["gap_slopes"] == {"only": None}
 
-    def test_learner_gap_decays_on_small_grid(self, p08):
-        est = gap_slope(p08, DOLRM, (500, 2_000, 8_000), range(5))
-        assert est.below_floor is False
-        assert est.slope < -0.1
-        assert est.mean_gaps[0] > est.mean_gaps[-1]
+    def test_learner_gap_decays_on_small_grid(self, tmp_path, p08):
+        out = experiment(tmp_path, p08, (DOLRM,), (500, 2_000, 8_000), tuple(range(5)))
+        gaps = [s.mean_gap for s in out.summaries]
+        assert out.gap_slopes["dolrm"] < -0.1
+        assert gaps[0] > gaps[-1]

@@ -10,7 +10,6 @@ from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.oracle import (
     best_response,
     brute_force_theta_star,
-    compute_gap,
     dinkelbach_theta_star,
     expected_ratio,
 )
@@ -125,29 +124,6 @@ class TestBruteForce:
     def test_enumeration_guard(self, p08):
         with pytest.raises(ValueError, match="enumeration"):
             brute_force_theta_star(p08, max_maps=1)
-
-
-class TestComputeGap:
-    def test_definitional_arithmetic(self):
-        report = compute_gap(2.6, 250.0, 100.0, 100)
-        assert report.gap == pytest.approx(0.1, rel=1e-12)
-        assert report.regret == pytest.approx(10.0, rel=1e-12)
-
-    def test_exact_ratio_has_zero_gap(self):
-        report = compute_gap(2.5, 250.0, 100.0, 100)
-        assert report.gap == 0.0
-        assert report.regret == 0.0
-
-    def test_overshoot_is_absolute(self):
-        assert compute_gap(2.6, 270.0, 100.0, 100).gap == pytest.approx(0.1, rel=1e-12)
-
-    def test_rejects_non_positive_cost(self):
-        with pytest.raises(ValueError, match="cumulative cost"):
-            compute_gap(2.6, 250.0, 0.0, 100)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            compute_gap(2.6, 250.0, 100.0, 0)
 
 
 class TestRandomSpecAgreement:

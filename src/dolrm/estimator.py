@@ -39,7 +39,7 @@ class ArmStatistics:
     memory stays O(1) per cell.
     """
 
-    __slots__ = ("counts", "mean_rewards", "mean_costs", "total")
+    __slots__ = ("counts", "mean_rewards", "mean_costs")
 
     def __init__(self, arms_per_type: Sequence[int]):
         if len(arms_per_type) == 0 or any(k < 1 for k in arms_per_type):
@@ -47,7 +47,6 @@ class ArmStatistics:
         self.counts: list[list[int]] = [[0] * k for k in arms_per_type]
         self.mean_rewards: list[list[float]] = [[0.0] * k for k in arms_per_type]
         self.mean_costs: list[list[float]] = [[0.0] * k for k in arms_per_type]
-        self.total = 0
 
     @classmethod
     def for_spec(cls, spec: EnvironmentSpec) -> "ArmStatistics":
@@ -62,7 +61,6 @@ class ArmStatistics:
         self.mean_rewards[s][a] = (self.mean_rewards[s][a] * n + reward) / n1
         self.mean_costs[s][a] = (self.mean_costs[s][a] * n + cost) / n1
         self.counts[s][a] = n1
-        self.total += 1
 
 
 def ucb_reward(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> float:

@@ -2,10 +2,13 @@
 
 Every policy exposes the same sequential interface: ``select(s)`` returns an
 arm index for the arriving task type, ``update(s, a, reward, cost)`` ingests
-that round's feedback. All argmax ties break toward the lowest arm index,
-and every policy that learns from data pulls each unseen arm of an arriving
-type once before trusting its estimates. Policies carrying a ratio iterate
-expose it as ``theta``; for the others ``theta`` is None.
+that round's feedback. ``update`` must report the arm the preceding
+``select`` returned: the policies carrying a ratio iterate step theta with
+the estimates that decision computed instead of computing them again. All
+argmax ties break toward the lowest arm index, and every policy that learns
+from data pulls each unseen arm of an arriving type once before trusting its
+estimates. Policies carrying a ratio iterate expose it as ``theta``; for the
+others ``theta`` is None.
 """
 
 from __future__ import annotations
@@ -48,13 +51,6 @@ def validate_policy_map(spec: EnvironmentSpec, pmap: PolicyMap) -> PolicyMap:
                 f"with {len(spec.arms[s])} arms"
             )
     return pmap
-
-
-def fixed_select(pmap: PolicyMap, s: int) -> int:
-    """Arm assigned to type s by a fixed policy map."""
-    if not 0 <= s < len(pmap.actions):
-        raise IndexError(f"task type {s} out of range for map of {len(pmap.actions)} types")
-    return pmap.actions[s]
 
 
 @dataclass(frozen=True)
@@ -155,43 +151,70 @@ class PolicyKind:
         return self.kind
 
 
-class DolRmPolicy:
+class _RatioIterate:
+    """Projected ratio iteration shared by the learner and its oracle twin.
+
+    Holds theta inside [theta_min, theta_max] and the 1-based round index.
+    ``select`` leaves the played arm's reward and cost estimates in
+    ``_r_hat`` and ``_c_check``; ``update`` moves theta one projected step
+    toward the root of r_hat - theta * c_check with those estimates.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
+        bounds = derived_bounds(spec)
+        schedule = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
+        self.bounds = bounds
+        self.theta = bounds.theta_min
+        self.round = 1
+        self._fixed_eta = None if lr_mode == "decaying" else learning_rate(schedule, 1)
+
+    def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        bounds = self.bounds
+        t = self.round
+        eta = self._fixed_eta
+        if eta is None:
+            eta = 1.0 / (bounds.c_min * (t + 1))
+        theta = self.theta + eta * (self._r_hat - self.theta * self._c_check)
+        if theta < bounds.theta_min:
+            theta = bounds.theta_min
+        elif theta > bounds.theta_max:
+            theta = bounds.theta_max
+        self.theta = theta
+        self.round = t + 1
+
+
+class DolRmPolicy(_RatioIterate):
     """Double-optimistic ratio learner.
 
-    Keeps a running ratio iterate theta inside [theta_min, theta_max]. Each
-    round it scores every arm of the arriving type with an optimistic reward
-    UCB minus theta times a pessimistic cost LCB and plays the best score.
-    On feedback it first moves theta one projected step toward the root of
-    r_hat - theta * c_check, using the pre-update estimates of the played arm
-    (the same ones the decision consumed), and only then folds the new
-    observation into the empirical means.
+    Each round it scores every arm of the arriving type with an optimistic
+    reward UCB minus theta times a pessimistic cost LCB and plays the best
+    score. On feedback it moves theta with the estimates that decision
+    consumed (the r_max / c_min sentinels during forced exploration), and
+    only then folds the new observation into the empirical means.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = "decaying"):
-        bounds = derived_bounds(spec)
-        self.bounds = bounds
+        super().__init__(spec, horizon, lr_mode)
         self.stats = ArmStatistics.for_spec(spec)
-        self.cfg = EstimatorConfig(horizon, bounds.r_max, bounds.c_min)
-        self.schedule = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
-        self.theta = bounds.theta_min
-        self.round = 1
-        self._log_horizon = self.cfg.bonus_numerator
-        self._decaying = lr_mode == "decaying"
-        self._fixed_eta = 1.0 / (bounds.c_min * math.sqrt(horizon))
+        self._log_horizon = EstimatorConfig(
+            horizon, self.bounds.r_max, self.bounds.c_min
+        ).bonus_numerator
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
         counts = self.stats.counts[s]
+        bounds = self.bounds
+        r_max = bounds.r_max
+        c_min = bounds.c_min
         for a, n in enumerate(counts):
             if n == 0:
+                self._r_hat = r_max
+                self._c_check = c_min
                 return a
         mean_r = self.stats.mean_rewards[s]
         mean_c = self.stats.mean_costs[s]
         log_t = self._log_horizon
-        bounds = self.bounds
-        r_max = bounds.r_max
-        c_min = bounds.c_min
         theta = self.theta
         sqrt = math.sqrt
         best = 0
@@ -208,33 +231,15 @@ class DolRmPolicy:
             if score > best_score:
                 best_score = score
                 best = a
+                best_r_hat = r_hat
+                best_c_check = c_check
+        self._r_hat = best_r_hat
+        self._c_check = best_c_check
         return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
-        stats = self.stats
-        bounds = self.bounds
-        n = stats.counts[s][a]
-        if n == 0:
-            r_hat = bounds.r_max
-            c_check = bounds.c_min
-        else:
-            bonus = math.sqrt(self._log_horizon / n)
-            r_hat = stats.mean_rewards[s][a] + bonus
-            if r_hat > bounds.r_max:
-                r_hat = bounds.r_max
-            c_check = stats.mean_costs[s][a] - bonus
-            if c_check < bounds.c_min:
-                c_check = bounds.c_min
-        t = self.round
-        eta = 1.0 / (bounds.c_min * (t + 1)) if self._decaying else self._fixed_eta
-        theta = self.theta + eta * (r_hat - self.theta * c_check)
-        if theta < bounds.theta_min:
-            theta = bounds.theta_min
-        elif theta > bounds.theta_max:
-            theta = bounds.theta_max
-        self.theta = theta
-        stats.record(s, a, reward, cost)
-        self.round = t + 1
+        super().update(s, a, reward, cost)
+        self.stats.record(s, a, reward, cost)
 
 
 class FixedMapPolicy:
@@ -246,44 +251,22 @@ class FixedMapPolicy:
         self.map = validate_policy_map(spec, pmap)
 
     def select(self, s: int) -> int:
-        return fixed_select(self.map, s)
+        actions = self.map.actions
+        if not 0 <= s < len(actions):
+            raise IndexError(f"task type {s} out of range for map of {len(actions)} types")
+        return actions[s]
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         pass
-
-
-def ucb_baseline_select(stats: ArmStatistics, s: int, t: int) -> int:
-    """UCB1 pick among type s's arms from ratio-signal means.
-
-    Unpulled arms are explored first (lowest index); otherwise plays the
-    largest mean + sqrt(2 log t / N) with t the current round index.
-    """
-    if s < 0:
-        raise IndexError(f"negative task type {s}")
-    if t < 1:
-        raise ValueError(f"round index must be >= 1 (got {t})")
-    counts = stats.counts[s]
-    for a, n in enumerate(counts):
-        if n == 0:
-            return a
-    means = stats.mean_rewards[s]
-    two_log_t = 2.0 * math.log(t)
-    best = 0
-    best_score = means[0] + math.sqrt(two_log_t / counts[0])
-    for a in range(1, len(counts)):
-        score = means[a] + math.sqrt(two_log_t / counts[a])
-        if score > best_score:
-            best_score = score
-            best = a
-    return best
 
 
 class ClassicUcbPolicy:
     """UCB1 treating the per-sample reward/cost ratio as a scalar reward.
 
     Each feedback is reduced to the ratio signal rho = R / max(C, cost_floor),
-    folded into per-arm means (stored in the reward slot of ArmStatistics),
-    and arms are ranked by mean + sqrt(2 log t / N).
+    folded into per-arm means (stored in the reward slot of ArmStatistics).
+    Unpulled arms are explored first (lowest index); otherwise it plays the
+    largest mean + sqrt(2 log t / N) with t the current round index.
     """
 
     theta = None
@@ -294,7 +277,25 @@ class ClassicUcbPolicy:
         self.round = 1
 
     def select(self, s: int) -> int:
-        return ucb_baseline_select(self.stats, s, self.round)
+        if s < 0:
+            raise IndexError(f"negative task type {s}")
+        t = self.round
+        if t < 1:
+            raise ValueError(f"round index must be >= 1 (got {t})")
+        counts = self.stats.counts[s]
+        for a, n in enumerate(counts):
+            if n == 0:
+                return a
+        means = self.stats.mean_rewards[s]
+        two_log_t = 2.0 * math.log(t)
+        best = 0
+        best_score = means[0] + math.sqrt(two_log_t / counts[0])
+        for a in range(1, len(counts)):
+            score = means[a] + math.sqrt(two_log_t / counts[a])
+            if score > best_score:
+                best_score = score
+                best = a
+        return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         denom = cost if cost > self.cost_floor else self.cost_floor
@@ -302,42 +303,15 @@ class ClassicUcbPolicy:
         self.round += 1
 
 
-def ts_baseline_select(
-    stats: ArmStatistics, s: int, c_min: float, rng: np.random.Generator
-) -> int:
-    """Thompson-sampling pick: best sampled ratio of Gaussian posterior draws.
+class ThompsonSamplingPolicy:
+    """Independent Gaussian posteriors on every cell's mean reward and cost.
 
     The posterior of each cell mean after N pulls is Normal(mean, 1/N) (unit
-    noise variance, flat prior). Draw order is fixed: one vector of 2k
-    standard normals per call, rewards in the first k slots, costs in the
-    last k. Cost draws are clipped below at c_min before dividing.
+    noise variance, flat prior); the policy plays the best sampled ratio.
+    Draw order is fixed: one vector of 2k standard normals per decision,
+    rewards in the first k slots, costs in the last k. Cost draws are
+    clipped below at c_min before dividing.
     """
-    if s < 0:
-        raise IndexError(f"negative task type {s}")
-    counts = stats.counts[s]
-    for a, n in enumerate(counts):
-        if n == 0:
-            return a
-    k = len(counts)
-    mean_r = stats.mean_rewards[s]
-    mean_c = stats.mean_costs[s]
-    z = rng.standard_normal(2 * k)
-    best = 0
-    best_score = -math.inf
-    for a in range(k):
-        sd = 1.0 / math.sqrt(counts[a])
-        c_draw = mean_c[a] + sd * z[k + a]
-        if c_draw < c_min:
-            c_draw = c_min
-        score = (mean_r[a] + sd * z[a]) / c_draw
-        if score > best_score:
-            best_score = score
-            best = a
-    return best
-
-
-class ThompsonSamplingPolicy:
-    """Independent Gaussian posteriors on every cell's mean reward and cost."""
 
     theta = None
 
@@ -347,13 +321,36 @@ class ThompsonSamplingPolicy:
         self.rng = rng
 
     def select(self, s: int) -> int:
-        return ts_baseline_select(self.stats, s, self.c_min, self.rng)
+        if s < 0:
+            raise IndexError(f"negative task type {s}")
+        stats = self.stats
+        counts = stats.counts[s]
+        for a, n in enumerate(counts):
+            if n == 0:
+                return a
+        k = len(counts)
+        mean_r = stats.mean_rewards[s]
+        mean_c = stats.mean_costs[s]
+        c_min = self.c_min
+        z = self.rng.standard_normal(2 * k)
+        best = 0
+        best_score = -math.inf
+        for a in range(k):
+            sd = 1.0 / math.sqrt(counts[a])
+            c_draw = mean_c[a] + sd * z[k + a]
+            if c_draw < c_min:
+                c_draw = c_min
+            score = (mean_r[a] + sd * z[a]) / c_draw
+            if score > best_score:
+                best_score = score
+                best = a
+        return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         self.stats.record(s, a, reward, cost)
 
 
-class OracleRmPolicy:
+class OracleRmPolicy(_RatioIterate):
     """Ratio iteration driven by the true means (no estimation).
 
     Decisions and theta updates both use the exact (r, c) of the played arm;
@@ -362,41 +359,19 @@ class OracleRmPolicy:
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = "decaying"):
-        bounds = derived_bounds(spec)
-        self.bounds = bounds
-        self.arms = spec.arms
-        self.schedule = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
-        self.theta = bounds.theta_min
-        self.round = 1
-        self._decaying = lr_mode == "decaying"
-        self._fixed_eta = 1.0 / (bounds.c_min * math.sqrt(horizon))
+        super().__init__(spec, horizon, lr_mode)
+        self._rewards = [[r for r, _ in arms_s] for arms_s in spec.arms]
+        self._costs = [[c for _, c in arms_s] for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
-        arms_s = self.arms[s]
-        theta = self.theta
-        best = 0
-        best_score = arms_s[0][0] - theta * arms_s[0][1]
-        for a in range(1, len(arms_s)):
-            score = arms_s[a][0] - theta * arms_s[a][1]
-            if score > best_score:
-                best_score = score
-                best = a
-        return best
-
-    def update(self, s: int, a: int, reward: float, cost: float) -> None:
-        r, c = self.arms[s][a]
-        bounds = self.bounds
-        t = self.round
-        eta = 1.0 / (bounds.c_min * (t + 1)) if self._decaying else self._fixed_eta
-        theta = self.theta + eta * (r - self.theta * c)
-        if theta < bounds.theta_min:
-            theta = bounds.theta_min
-        elif theta > bounds.theta_max:
-            theta = bounds.theta_max
-        self.theta = theta
-        self.round = t + 1
+        rewards = self._rewards[s]
+        costs = self._costs[s]
+        a = greedy_arm(rewards, costs, self.theta)
+        self._r_hat = rewards[a]
+        self._c_check = costs[a]
+        return a
 
 
 def make_policy(

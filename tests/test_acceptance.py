@@ -1,9 +1,11 @@
 """End-to-end acceptance gate.
 
-One test per shipping criterion, each printing a single
-"ACCEPTANCE <n> <name>: PASS|FAIL" line through pytest's terminal
-reporter so the verdict is visible in any run, capture or not. The
-heavy 20-seed simulations are shared through module-scoped fixtures.
+One test per shipping criterion, each recording a single
+"ACCEPTANCE <n> <name>: PASS|FAIL" line in its report's user properties.
+The ``pytest_terminal_summary`` hook in conftest.py prints those lines in
+an "acceptance" section at the end of every run, so the verdicts are
+visible whether or not output is captured. The heavy 20-seed simulations
+are shared through module-scoped fixtures.
 """
 
 import time
@@ -35,18 +37,13 @@ SEEDS = tuple(range(20))
 LEARNERS = ("dolrm", "ucb", "ts", "oracle-rm")
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def criterion(request):
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
-
     def check(number: int, name: str, passed: bool, detail: str = "") -> None:
         status = "PASS" if passed else "FAIL"
         suffix = f"  [{detail}]" if detail else ""
         line = f"ACCEPTANCE {number} {name}: {status}{suffix}"
-        if reporter is not None:
-            reporter.write_line(line)
-        else:
-            print(line, flush=True)
+        request.node.user_properties.append(("acceptance", line))
         assert passed, f"acceptance criterion {number} ({name}) failed{suffix}"
 
     return check
@@ -179,19 +176,19 @@ def test_acceptance_5_gap_decay_slope(criterion, p08_slope_run):
 def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
     ok = True
 
-    # ratio iterate containment over one million fuzzed updates
+    # ratio iterate containment over one million fuzzed updates; each update
+    # reports the arm its select returned, as the policy contract requires
     bounds = derived_bounds(p08_spec)
     policy = DolRmPolicy(p08_spec, horizon=HORIZON)
     rng = np.random.default_rng(314)
     n = 1_000_000
     types = rng.integers(0, 2, n).tolist()
-    arm_picks = rng.integers(0, 2, n).tolist()
     rewards = rng.uniform(-10.0, 10.0, n).tolist()
     costs = rng.uniform(-10.0, 10.0, n).tolist()
     lo, hi = policy.theta, policy.theta
     for i in range(n):
         s = types[i]
-        policy.update(s, arm_picks[i] if s == 1 else 0, rewards[i], costs[i])
+        policy.update(s, policy.select(s), rewards[i], costs[i])
         theta = policy.theta
         if theta < lo:
             lo = theta
@@ -202,7 +199,7 @@ def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
     oracle = OracleRmPolicy(p08_spec, horizon=HORIZON)
     for i in range(100_000):
         s = types[i]
-        oracle.update(s, arm_picks[i] if s == 1 else 0, rewards[i], costs[i])
+        oracle.update(s, oracle.select(s), rewards[i], costs[i])
         ok &= bounds.theta_min <= oracle.theta <= bounds.theta_max
 
     # estimator truncation and bonus monotonicity under fuzzed statistics
@@ -240,7 +237,7 @@ def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
         for s, picks in first_picks.items():
             ok &= picks == list(range(seven.num_arms(s)))
         # every round recorded exactly once
-        ok &= learner.stats.total == 2_000
+        ok &= sum(map(sum, learner.stats.counts)) == 2_000
 
     # repeated runs produce byte-identical outputs
     cfg_a = tiny_config(tmp_path / "a", environment=two_type_env(p0=0.8), horizons=(500,))

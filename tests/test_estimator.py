@@ -55,13 +55,6 @@ class TestRecord:
         assert stats.counts[0][0] == 4
         assert stats.mean_costs[0][0] == 1.25
 
-    def test_total_counts_record_calls(self):
-        stats = ArmStatistics([2, 3])
-        for s, a in [(0, 0), (1, 2), (1, 2), (0, 1)]:
-            stats.record(s, a, 1.0, 1.0)
-        assert stats.total == 4
-        assert sum(n for row in stats.counts for n in row) == 4
-
     def test_rejects_negative_indices(self):
         stats = ArmStatistics([2])
         with pytest.raises(IndexError):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dolrm.env import derived_bounds
+from dolrm.env import EnvironmentSpec, derived_bounds
 from dolrm.estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
 from dolrm.oracle import best_response
 from dolrm.policies import (
+    LEARNING_RATE_MODES,
     ClassicUcbPolicy,
     DolRmPolicy,
     FixedMapPolicy,
@@ -17,13 +18,10 @@ from dolrm.policies import (
     PolicyKind,
     PolicyMap,
     ThompsonSamplingPolicy,
-    fixed_select,
     greedy_arm,
     learning_rate,
     make_policy,
     ratio_step,
-    ts_baseline_select,
-    ucb_baseline_select,
     validate_policy_map,
 )
 
@@ -32,6 +30,35 @@ from conftest import StubRng, two_type_env
 # exact dyadic floats make argmax comparisons immune to rounding
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: k / 4.0)
 dyadic_positive = st.integers(min_value=1, max_value=64).map(lambda k: k / 4.0)
+
+# Small positive means, so duplicate arms (exact ties) are common; equal
+# arrival probabilities, since the property tests draw task types themselves.
+cell_mean = st.integers(min_value=1, max_value=12).map(lambda k: k / 4.0)
+random_specs = st.builds(
+    lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
+    st.lists(
+        st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=5),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([0.0, 1.0]),
+)
+property_run = settings(deadline=None)
+
+
+def ucb_policy(stats, t):
+    policy = ClassicUcbPolicy(two_type_env())
+    policy.stats = stats
+    policy.round = t
+    return policy
+
+
+def ts_policy(stats, rng):
+    # c_min of the two-type environment is 1.0
+    policy = ThompsonSamplingPolicy(two_type_env(), np.random.default_rng(0))
+    policy.stats = stats
+    policy.rng = rng
+    return policy
 
 
 class TestLearningRate:
@@ -117,12 +144,12 @@ class TestPolicyMap:
         with pytest.raises(ValueError, match=r"actions\[0\] = 1"):
             validate_policy_map(p08, PolicyMap((1, 0)))
 
-    def test_fixed_select(self):
-        pmap = PolicyMap((0, 1))
-        assert fixed_select(pmap, 0) == 0
-        assert fixed_select(pmap, 1) == 1
+    def test_fixed_select(self, p08):
+        policy = FixedMapPolicy(p08, PolicyMap((0, 1)))
+        assert policy.select(0) == 0
+        assert policy.select(1) == 1
         with pytest.raises(IndexError):
-            fixed_select(pmap, 2)
+            policy.select(2)
 
 
 class TestPolicyKind:
@@ -185,12 +212,14 @@ class TestDolRmPolicy:
 
     def test_update_uses_pre_record_estimates(self, p08):
         policy = DolRmPolicy(p08, horizon=100)
-        policy.stats.counts[1][1] = 1
-        policy.stats.mean_rewards[1][1] = 2.0
-        policy.stats.mean_costs[1][1] = 1.0
+        policy.stats.counts[1] = [1, 1]
+        policy.stats.mean_rewards[1] = [0.0, 2.0]
+        policy.stats.mean_costs[1] = [2.0, 1.0]
         policy.theta = 2.0
-        # round 1, decaying, c_min=1 -> eta = 0.5; pre-record estimates:
-        # r_hat = min(3, 2 + 2.146) = 3, c_check = max(1, 1 - 2.146) = 1
+        # bonus sqrt(log 100) = 2.146: arm 0 scores 2.146 - 2 * 1, arm 1
+        # scores 3 - 2 * 1 with r_hat = min(3, 2 + 2.146) = 3 and
+        # c_check = max(1, 1 - 2.146) = 1; round 1, decaying -> eta = 0.5
+        assert policy.select(1) == 1
         policy.update(1, 1, reward=3.0, cost=2.0)
         assert policy.theta == 2.0 + 0.5 * (3.0 - 2.0 * 1.0)
         assert policy.stats.mean_rewards[1][1] == 2.5
@@ -202,35 +231,46 @@ class TestDolRmPolicy:
         policy = DolRmPolicy(p08, horizon=100)
         policy.theta = 1.0
         # sentinels r_max=3, c_min=1; round 1 decaying -> eta 0.5
+        assert policy.select(0) == 0
         policy.update(0, 0, reward=0.0, cost=0.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
 
-    @pytest.mark.parametrize("lr_mode", ["decaying", "fixed-sqrtT"])
-    def test_update_matches_estimator_composition(self, lr_mode):
-        spec = two_type_env()
-        policy = DolRmPolicy(spec, horizon=500, lr_mode=lr_mode)
+    @property_run
+    @given(
+        spec=random_specs,
+        horizon=st.integers(min_value=1, max_value=300),
+        lr_mode=st.sampled_from(LEARNING_RATE_MODES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_update_matches_estimator_composition(self, spec, horizon, lr_mode, seed):
+        policy = DolRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
         shadow = ArmStatistics.for_spec(spec)
-        cfg = EstimatorConfig(500, bounds.r_max, bounds.c_min)
-        sched = LearningRateSchedule(lr_mode, bounds.c_min, 500)
+        cfg = EstimatorConfig(horizon, bounds.r_max, bounds.c_min)
+        sched = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
         theta = bounds.theta_min
-        rng = np.random.default_rng(17)
-        for t in range(1, 401):
-            s = int(rng.integers(2))
+        rng = np.random.default_rng(seed)
+        for t in range(1, horizon + 1):
+            s = int(rng.integers(spec.num_types))
+            cells = range(spec.num_arms(s))
+            r_hats = [ucb_reward(shadow, cfg, s, b) for b in cells]
+            c_checks = [lcb_cost(shadow, cfg, s, b) for b in cells]
+            unpulled = [b for b in cells if shadow.counts[s][b] == 0]
             a = policy.select(s)
-            reward = 2.0 + rng.standard_normal()
-            cost = 1.5 + rng.standard_normal()
-            r_hat = ucb_reward(shadow, cfg, s, a)
-            c_check = lcb_cost(shadow, cfg, s, a)
+            assert a == (unpulled[0] if unpulled else greedy_arm(r_hats, c_checks, theta))
+            r, c = spec.arms[s][a]
+            reward = r + spec.noise_sigma * rng.standard_normal()
+            cost = c + spec.noise_sigma * rng.standard_normal()
             theta = ratio_step(
-                theta, learning_rate(sched, t), r_hat, c_check,
+                theta, learning_rate(sched, t), r_hats[a], c_checks[a],
                 bounds.theta_min, bounds.theta_max,
             )
             shadow.record(s, a, reward, cost)
             policy.update(s, a, reward, cost)
             assert policy.theta == theta
-            assert policy.stats.mean_rewards == shadow.mean_rewards
-            assert policy.stats.mean_costs == shadow.mean_costs
+        assert policy.stats.counts == shadow.counts
+        assert policy.stats.mean_rewards == shadow.mean_rewards
+        assert policy.stats.mean_costs == shadow.mean_costs
 
 
 class TestFixedMapPolicy:
@@ -251,7 +291,7 @@ class TestUcbBaseline:
         stats = ArmStatistics([2])
         stats.counts[0] = [4, 16]
         stats.mean_rewards[0] = [2.0, 2.0]
-        assert ucb_baseline_select(stats, 0, t=100) == 0
+        assert ucb_policy(stats, t=100).select(0) == 0
 
     def test_frozen_bonus_arithmetic(self):
         assert math.sqrt(2.0 * math.log(100.0) / 4) == pytest.approx(
@@ -264,19 +304,19 @@ class TestUcbBaseline:
     def test_singleton_type(self):
         stats = ArmStatistics([1])
         stats.counts[0] = [5]
-        assert ucb_baseline_select(stats, 0, t=10) == 0
+        assert ucb_policy(stats, t=10).select(0) == 0
 
     def test_unpulled_arm_explored_first(self):
         stats = ArmStatistics([3])
         stats.counts[0] = [2, 0, 1]
-        assert ucb_baseline_select(stats, 0, t=4) == 1
+        assert ucb_policy(stats, t=4).select(0) == 1
 
     def test_rejects_bad_round_and_type(self):
         stats = ArmStatistics([1])
         with pytest.raises(ValueError, match="round index"):
-            ucb_baseline_select(stats, 0, t=0)
+            ucb_policy(stats, t=0).select(0)
         with pytest.raises(IndexError):
-            ucb_baseline_select(stats, -1, t=1)
+            ucb_policy(stats, t=1).select(-1)
 
     def test_update_records_floored_ratio_signal(self, p08):
         policy = ClassicUcbPolicy(p08)
@@ -301,14 +341,14 @@ class TestThompsonSampling:
 
     def test_degenerate_posterior_picks_higher_mean_ratio(self):
         rng = StubRng(normals=[0.0, 0.0, 0.0, 0.0])
-        assert ts_baseline_select(self.degenerate_stats(), 0, 1.0, rng) == 0
+        assert ts_policy(self.degenerate_stats(), rng).select(0) == 0
 
     def test_zero_reward_draws_tie_break_to_lowest(self):
         stats = ArmStatistics([2])
         stats.counts[0] = [1, 1]
         stats.mean_costs[0] = [2.0, 1.0]
         rng = StubRng(normals=[0.0, 0.0, 0.0, 0.0])
-        assert ts_baseline_select(stats, 0, 1.0, rng) == 0
+        assert ts_policy(stats, rng).select(0) == 0
 
     def test_cost_draw_clipped_below(self):
         stats = ArmStatistics([2])
@@ -318,15 +358,15 @@ class TestThompsonSampling:
         # raw cost draw for arm 0 would be 0.5 - 5 = -4.5; the clip to c_min
         # keeps its score positive and winning
         rng = StubRng(normals=[0.0, 0.0, -5.0, 0.0])
-        assert ts_baseline_select(stats, 0, 1.0, rng) == 0
+        assert ts_policy(stats, rng).select(0) == 0
 
     def test_singleton_and_forced_exploration(self):
         single = ArmStatistics([1])
         single.counts[0] = [3]
-        assert ts_baseline_select(single, 0, 1.0, StubRng(normals=[0.0, 0.0])) == 0
+        assert ts_policy(single, StubRng(normals=[0.0, 0.0])).select(0) == 0
         fresh = ArmStatistics([2])
         fresh.counts[0] = [1, 0]
-        assert ts_baseline_select(fresh, 0, 1.0, StubRng()) == 1
+        assert ts_policy(fresh, StubRng()).select(0) == 1
 
     def test_draw_order_rewards_then_costs(self):
         stats = ArmStatistics([2])
@@ -336,7 +376,7 @@ class TestThompsonSampling:
         # reward draws occupy the first two slots: arm 1 gets +1 reward,
         # cost draws (last two) are zero -> arm 1 scores 2/1 vs 1/1
         rng = StubRng(normals=[0.0, 1.0, 0.0, 0.0])
-        assert ts_baseline_select(stats, 0, 1.0, rng) == 1
+        assert ts_policy(stats, rng).select(0) == 1
 
     def test_policy_records_raw_feedback(self, p08):
         policy = ThompsonSamplingPolicy(p08, np.random.default_rng(0))
@@ -364,10 +404,38 @@ class TestOracleRm:
     def test_update_ignores_sampled_feedback(self, p08):
         policy = OracleRmPolicy(p08, horizon=100)
         policy.theta = 2.0
-        # true means of (1,1) drive the step; the wild feedback must not
-        policy.update(1, 1, reward=999.0, cost=-999.0)
-        assert policy.theta == 2.0 + 0.5 * (1.0 - 2.0 * 1.0)
+        # at theta 2 both arms of type 1 score -1; the tie goes to arm 0,
+        # whose true means (3, 2) drive the step; the wild feedback must not
+        assert policy.select(1) == 0
+        policy.update(1, 0, reward=999.0, cost=-999.0)
+        assert policy.theta == 2.0 + 0.5 * (3.0 - 2.0 * 2.0)
         assert policy.round == 2
+
+    @property_run
+    @given(
+        spec=random_specs,
+        horizon=st.integers(min_value=1, max_value=300),
+        lr_mode=st.sampled_from(LEARNING_RATE_MODES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_ratio_step_on_true_means(self, spec, horizon, lr_mode, seed):
+        policy = OracleRmPolicy(spec, horizon, lr_mode)
+        bounds = derived_bounds(spec)
+        sched = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
+        theta = bounds.theta_min
+        rng = np.random.default_rng(seed)
+        for t in range(1, horizon + 1):
+            s = int(rng.integers(spec.num_types))
+            rewards = [r for r, _ in spec.arms[s]]
+            costs = [c for _, c in spec.arms[s]]
+            a = policy.select(s)
+            assert a == greedy_arm(rewards, costs, theta)
+            theta = ratio_step(
+                theta, learning_rate(sched, t), rewards[a], costs[a],
+                bounds.theta_min, bounds.theta_max,
+            )
+            policy.update(s, a, rewards[a] + rng.standard_normal(), costs[a])
+            assert policy.theta == theta
 
     def test_rejects_negative_type(self, p08):
         with pytest.raises(IndexError):

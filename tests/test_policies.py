@@ -235,14 +235,14 @@ class TestDolRmPolicy:
         policy.update(0, 0, reward=0.0, cost=0.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
 
+    @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
         spec=random_specs,
         horizon=st.integers(min_value=1, max_value=300),
-        lr_mode=st.sampled_from(LEARNING_RATE_MODES),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_update_matches_estimator_composition(self, spec, horizon, lr_mode, seed):
+    def test_update_matches_estimator_composition(self, lr_mode, spec, horizon, seed):
         policy = DolRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
         shadow = ArmStatistics.for_spec(spec)
@@ -411,14 +411,14 @@ class TestOracleRm:
         assert policy.theta == 2.0 + 0.5 * (3.0 - 2.0 * 2.0)
         assert policy.round == 2
 
+    @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
         spec=random_specs,
         horizon=st.integers(min_value=1, max_value=300),
-        lr_mode=st.sampled_from(LEARNING_RATE_MODES),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_ratio_step_on_true_means(self, spec, horizon, lr_mode, seed):
+    def test_matches_ratio_step_on_true_means(self, lr_mode, spec, horizon, seed):
         policy = OracleRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
         sched = LearningRateSchedule(lr_mode, bounds.c_min, horizon)

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .config import PRESETS, ConfigError, parse_config
+from .config import PRESETS, parse_config
 from .oracle import dinkelbach_theta_star
 from .runner import run_experiment
 
@@ -41,7 +41,7 @@ def _cmd_run(config_path: str) -> int:
         print(
             f"{summary.policy} T={summary.horizon}: "
             f"mean final ratio {summary.mean_final_ratio:.6g} "
-            f"(gap {summary.mean_gap:.3g} over {len(summary.seeds)} seeds)"
+            f"(gap {summary.mean_gap:.3g} over {summary.num_seeds} seeds)"
         )
     for policy, slope in bundle.gap_slopes.items():
         if slope is None:
@@ -78,7 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args.config)
         return _cmd_presets()
-    except (ConfigError, ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

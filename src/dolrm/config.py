@@ -10,42 +10,44 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NoReturn, Optional, TypeVar
 
-from .env import DEFAULT_COST_FLOOR, EnvironmentSpec, validate_env
-from .policies import LEARNING_RATE_MODES, PolicyKind, PolicyMap, validate_policy_map
+from .env import DEFAULT_COST_FLOOR, DEFAULT_NOISE_SIGMA, EnvironmentSpec, validate_env
+from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, PolicyMap, validate_policy_map
 
-DEFAULT_NOISE_SIGMA = 1.0
 DEFAULT_SEED_COUNT = 20
 DEFAULT_SEED_BASE = 0
-DEFAULT_LR_MODE = "decaying"
 DEFAULT_OUTPUT_DIR = "results"
 
-_TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
+_T = TypeVar("_T")
 
+_TWO_TYPE_ARMS = [[[3.0, 1.0]], [[3.0, 2.0], [1.0, 1.0]]]
+
+# Each preset's environment is an inline environment block in its JSON form;
+# it goes through the same parser as a block written in a config file.
 PRESETS: dict[str, dict[str, Any]] = {
     "two-type-p08": {
-        "arrival_probs": (0.8, 0.2),
-        "arms": _TWO_TYPE_ARMS,
         "description": "two task types arriving 80/20; the rarer type chooses between arms (3,2) and (1,1)",
+        "environment": {"arrival_probs": [0.8, 0.2], "arms": _TWO_TYPE_ARMS},
     },
     "two-type-p06": {
-        "arrival_probs": (0.6, 0.4),
-        "arms": _TWO_TYPE_ARMS,
         "description": "the same two task types with a 60/40 arrival split",
+        "environment": {"arrival_probs": [0.6, 0.4], "arms": _TWO_TYPE_ARMS},
     },
     "seven-type": {
-        "arrival_probs": (0.3, 0.1, 0.2, 0.1, 0.05, 0.1, 0.15),
-        "arms": (
-            ((3.0, 1.0),),
-            ((3.0, 2.0), (1.0, 1.0)),
-            ((2.0, 1.0),),
-            ((2.5, 1.5),),
-            ((2.0, 1.0), (1.0, 1.0)),
-            ((3.0, 2.0), (1.5, 1.5)),
-            ((2.5, 1.0),),
-        ),
         "description": "seven task types, three of them offering a two-arm choice",
+        "environment": {
+            "arrival_probs": [0.3, 0.1, 0.2, 0.1, 0.05, 0.1, 0.15],
+            "arms": [
+                [[3.0, 1.0]],
+                [[3.0, 2.0], [1.0, 1.0]],
+                [[2.0, 1.0]],
+                [[2.5, 1.5]],
+                [[2.0, 1.0], [1.0, 1.0]],
+                [[3.0, 2.0], [1.5, 1.5]],
+                [[2.5, 1.0]],
+            ],
+        },
     },
 }
 
@@ -81,8 +83,37 @@ class ExperimentConfig:
     log_stride: Optional[int]
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise ConfigError(f"{path}: {message}")
+
+
+def _require(obj: dict, key: str, path: str, hint: str = "") -> Any:
+    """obj[key]; an absent key and an explicit null are both missing."""
+    value = obj.get(key)
+    if value is None:
+        _fail(path, "missing required key" + hint)
+    return value
+
+
+def _reject_unknown(obj: dict, allowed: set[str], prefix: str = "") -> None:
+    unknown = set(obj) - allowed
+    if unknown:
+        _fail(prefix + sorted(unknown)[0], "unknown key")
+
+
+def _list_of(
+    value: Any, path: str, expected: str, item: Callable[[Any, str], _T], non_empty: bool = False
+) -> tuple[_T, ...]:
+    """Each element of a JSON list parsed by item(element, "<path>[<index>]")."""
+    if not isinstance(value, list) or (non_empty and not value):
+        _fail(path, f"expected {expected}")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def _at_least(value: int, minimum: int, path: str) -> int:
+    if value < minimum:
+        _fail(path, f"must be >= {minimum} (got {value})")
+    return value
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -103,81 +134,51 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
+def _as_pair(value: Any, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(path, "expected a [reward, cost] pair")
+    return _as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]")
+
+
 def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[EnvironmentSpec, str]:
-    env = raw.get("environment")
-    if env is None:
-        _fail("environment", "missing required key (preset name or inline object)")
+    env = _require(raw, "environment", "environment", " (preset name or inline object)")
     if isinstance(env, str):
         if "environment_name" in raw:
             _fail("environment_name", "applies only to an inline environment")
-        preset = PRESETS.get(env)
-        if preset is None:
+        if env not in PRESETS:
             _fail(
                 "environment",
                 f"unknown preset {env!r} (available: {', '.join(sorted(PRESETS))})",
             )
-        name = env
-        probs = preset["arrival_probs"]
-        arms = preset["arms"]
-        sigma = DEFAULT_NOISE_SIGMA if sigma_override is None else sigma_override
-        floor = DEFAULT_COST_FLOOR
+        name, env = env, PRESETS[env]["environment"]
     elif isinstance(env, dict):
         name = _as_str(raw.get("environment_name", "inline"), "environment_name")
-        if "arrival_probs" not in env:
-            _fail("environment.arrival_probs", "missing required key")
-        if "arms" not in env:
-            _fail("environment.arms", "missing required key")
-        if not isinstance(env["arrival_probs"], list):
-            _fail("environment.arrival_probs", "expected a list of probabilities")
-        probs = [
-            _as_number(p, f"environment.arrival_probs[{i}]")
-            for i, p in enumerate(env["arrival_probs"])
-        ]
-        if not isinstance(env["arms"], list):
-            _fail("environment.arms", "expected a list (one arm list per type)")
-        arms = []
-        for s, arms_s in enumerate(env["arms"]):
-            if not isinstance(arms_s, list):
-                _fail(f"environment.arms[{s}]", "expected a list of [reward, cost] pairs")
-            parsed = []
-            for a, pair in enumerate(arms_s):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    _fail(f"environment.arms[{s}][{a}]", "expected a [reward, cost] pair")
-                parsed.append(
-                    (
-                        _as_number(pair[0], f"environment.arms[{s}][{a}][0]"),
-                        _as_number(pair[1], f"environment.arms[{s}][{a}][1]"),
-                    )
-                )
-            arms.append(tuple(parsed))
-        env_sigma = (
-            _as_number(env["noise_sigma"], "environment.noise_sigma")
-            if "noise_sigma" in env
-            else None
-        )
-        if sigma_override is not None and env_sigma is not None and sigma_override != env_sigma:
-            _fail(
-                "noise_sigma",
-                f"conflicts with environment.noise_sigma ({sigma_override:g} vs {env_sigma:g})",
-            )
-        if sigma_override is not None:
-            sigma = sigma_override
-        elif env_sigma is not None:
-            sigma = env_sigma
-        else:
-            sigma = DEFAULT_NOISE_SIGMA
-        floor = (
-            _as_number(env["cost_floor"], "environment.cost_floor")
-            if "cost_floor" in env
-            else DEFAULT_COST_FLOOR
-        )
-        extra = set(env) - {"arrival_probs", "arms", "noise_sigma", "cost_floor"}
-        if extra:
-            _fail(f"environment.{sorted(extra)[0]}", "unknown key")
     else:
         _fail("environment", f"expected a preset name or object, got {type(env).__name__}")
 
-    spec = EnvironmentSpec(tuple(probs), tuple(arms), sigma, floor)
+    raw_probs = _require(env, "arrival_probs", "environment.arrival_probs")
+    raw_arms = _require(env, "arms", "environment.arms")
+    probs = _list_of(raw_probs, "environment.arrival_probs", "a list of probabilities", _as_number)
+    arms = _list_of(
+        raw_arms,
+        "environment.arms",
+        "a list (one arm list per type)",
+        lambda arms_s, path: _list_of(arms_s, path, "a list of [reward, cost] pairs", _as_pair),
+    )
+    sigma = sigma_override
+    if "noise_sigma" in env:
+        env_sigma = _as_number(env["noise_sigma"], "environment.noise_sigma")
+        if sigma is None:
+            sigma = env_sigma
+        elif sigma != env_sigma:
+            _fail(
+                "noise_sigma",
+                f"conflicts with environment.noise_sigma ({sigma:g} vs {env_sigma:g})",
+            )
+    floor = _as_number(env.get("cost_floor", DEFAULT_COST_FLOOR), "environment.cost_floor")
+    _reject_unknown(env, {"arrival_probs", "arms", "noise_sigma", "cost_floor"}, "environment.")
+
+    spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma, floor)
     try:
         validate_env(spec)
     except ValueError as err:
@@ -185,84 +186,65 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
     return spec, name
 
 
+def _parse_policy(entry: Any, path: str) -> PolicyKind:
+    if not isinstance(entry, dict):
+        _fail(path, f"expected an object, got {type(entry).__name__}")
+    _reject_unknown(entry, {"kind", "actions", "label"}, f"{path}.")
+    kind = _as_str(_require(entry, "kind", f"{path}.kind"), f"{path}.kind")
+    actions = (
+        _list_of(entry["actions"], f"{path}.actions", "a list of arm indices", _as_int)
+        if "actions" in entry
+        else None
+    )
+    label = _as_str(entry["label"], f"{path}.label") if "label" in entry else None
+    try:
+        return PolicyKind(kind, actions, label)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def _parse_policies(raw: dict) -> tuple[PolicyKind, ...]:
-    entries = raw.get("policies")
-    if entries is None:
-        _fail("policies", "missing required key")
-    if not isinstance(entries, list) or not entries:
-        _fail("policies", "expected a non-empty list of policy objects")
-    kinds = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            _fail(f"policies[{i}]", f"expected an object, got {type(entry).__name__}")
-        extra = set(entry) - {"kind", "actions", "label"}
-        if extra:
-            _fail(f"policies[{i}].{sorted(extra)[0]}", "unknown key")
-        if "kind" not in entry:
-            _fail(f"policies[{i}].kind", "missing required key")
-        kind = _as_str(entry["kind"], f"policies[{i}].kind")
-        actions = None
-        if "actions" in entry:
-            if not isinstance(entry["actions"], list):
-                _fail(f"policies[{i}].actions", "expected a list of arm indices")
-            actions = tuple(
-                _as_int(a, f"policies[{i}].actions[{j}]") for j, a in enumerate(entry["actions"])
-            )
-        label = _as_str(entry["label"], f"policies[{i}].label") if "label" in entry else None
-        try:
-            kinds.append(PolicyKind(kind, actions, label))
-        except ValueError as err:
-            raise ConfigError(f"policies[{i}]: {err}") from None
+    entries = _require(raw, "policies", "policies")
+    kinds = _list_of(
+        entries, "policies", "a non-empty list of policy objects", _parse_policy, non_empty=True
+    )
     names = [k.name for k in kinds]
     for name in names:
         if names.count(name) > 1:
             _fail("policies", f"duplicate policy name {name!r}; set distinct labels")
-    return tuple(kinds)
+    return kinds
 
 
 def _parse_horizons(raw: dict) -> tuple[int, ...]:
-    if "horizon" in raw and "horizons" in raw:
-        _fail("horizon", "give either 'horizon' or 'horizons', not both")
+    if "horizons" not in raw:
+        horizon = _require(raw, "horizon", "horizon", " ('horizon' or 'horizons')")
+        return (_at_least(_as_int(horizon, "horizon"), 1, "horizon"),)
     if "horizon" in raw:
-        horizon = _as_int(raw["horizon"], "horizon")
-        if horizon < 1:
-            _fail("horizon", f"must be >= 1 (got {horizon})")
-        return (horizon,)
-    if "horizons" in raw:
-        if not isinstance(raw["horizons"], list) or not raw["horizons"]:
-            _fail("horizons", "expected a non-empty list of integers")
-        grid = tuple(_as_int(h, f"horizons[{i}]") for i, h in enumerate(raw["horizons"]))
-        if grid[0] < 1:
-            _fail("horizons[0]", f"must be >= 1 (got {grid[0]})")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            _fail("horizons", "must be strictly increasing")
-        return grid
-    _fail("horizon", "missing required key ('horizon' or 'horizons')")
+        _fail("horizon", "give either 'horizon' or 'horizons', not both")
+    grid = _list_of(
+        raw["horizons"], "horizons", "a non-empty list of integers", _as_int, non_empty=True
+    )
+    _at_least(grid[0], 1, "horizons[0]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        _fail("horizons", "must be strictly increasing")
+    return grid
 
 
 def _parse_seeds(raw: dict) -> tuple[int, ...]:
-    seeds = raw.get("seeds")
-    if seeds is None:
-        return tuple(range(DEFAULT_SEED_BASE, DEFAULT_SEED_BASE + DEFAULT_SEED_COUNT))
+    seeds = {} if raw.get("seeds") is None else raw["seeds"]
     if isinstance(seeds, list):
-        if not seeds:
-            _fail("seeds", "expected a non-empty list")
-        out = tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds))
+        out = _list_of(seeds, "seeds", "a non-empty list", _as_int, non_empty=True)
         if len(set(out)) != len(out):
             _fail("seeds", "seed values must be unique")
         if min(out) < 0:
             _fail("seeds", "seed values must be >= 0")
         return out
     if isinstance(seeds, dict):
-        extra = set(seeds) - {"count", "base"}
-        if extra:
-            _fail(f"seeds.{sorted(extra)[0]}", "unknown key")
+        _reject_unknown(seeds, {"count", "base"}, "seeds.")
         count = _as_int(seeds.get("count", DEFAULT_SEED_COUNT), "seeds.count")
         base = _as_int(seeds.get("base", DEFAULT_SEED_BASE), "seeds.base")
-        if count < 1:
-            _fail("seeds.count", f"must be >= 1 (got {count})")
-        if base < 0:
-            _fail("seeds.base", f"must be >= 0 (got {base})")
+        _at_least(count, 1, "seeds.count")
+        _at_least(base, 0, "seeds.base")
         return tuple(range(base, base + count))
     _fail("seeds", f"expected a list or a count/base object, got {type(seeds).__name__}")
 
@@ -283,9 +265,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid JSON ({err})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown key")
+    _reject_unknown(raw, _TOP_LEVEL_KEYS)
 
     sigma_override = (
         _as_number(raw["noise_sigma"], "noise_sigma") if "noise_sigma" in raw else None
@@ -304,11 +284,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     output_dir = _as_str(raw.get("output_dir", DEFAULT_OUTPUT_DIR), "output_dir")
 
-    log_stride: Optional[int] = None
-    if raw.get("log_stride") is not None:
-        log_stride = _as_int(raw["log_stride"], "log_stride")
-        if log_stride < 1:
-            _fail("log_stride", f"must be >= 1 (got {log_stride})")
+    log_stride = raw.get("log_stride")
+    if log_stride is not None:
+        log_stride = _at_least(_as_int(log_stride, "log_stride"), 1, "log_stride")
 
     for kind in policies:
         if kind.kind == "fixed":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_NOISE_SIGMA = 1.0
 DEFAULT_COST_FLOOR = 1e-6
 
 
@@ -31,7 +32,7 @@ class EnvironmentSpec:
 
     arrival_probs: tuple[float, ...]
     arms: tuple[tuple[tuple[float, float], ...], ...]
-    noise_sigma: float = 1.0
+    noise_sigma: float = DEFAULT_NOISE_SIGMA
     cost_floor: float = DEFAULT_COST_FLOOR
 
     def __post_init__(self) -> None:

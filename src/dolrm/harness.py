@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .env import EnvironmentSpec, sample_tasks, validate_env
-from .policies import PolicyKind, make_policy
+from .policies import DEFAULT_LR_MODE, PolicyKind, make_policy
 
 # Stream labels for the per-episode RNG split. Keeping arrival, feedback and
 # policy randomness on separate streams means two policies compared under the
@@ -64,7 +64,7 @@ def run_episode(
     horizon: int,
     seed: int,
     *,
-    lr_mode: str = "decaying",
+    lr_mode: str = DEFAULT_LR_MODE,
     stride: Optional[int] = None,
 ) -> EpisodeTrace:
     """Run one seeded episode of ``horizon`` rounds and return its trace.
@@ -149,25 +149,23 @@ def run_episode(
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Across-seed statistics of one (policy, horizon) cell."""
+    """Across-seed statistics of one (policy, horizon) cell.
+
+    The fields, in this order, are the cell's row in summary.json.
+    """
 
     policy: str
     horizon: int
-    seeds: tuple[int, ...]
-    theta_star: float
-    final_ratios: tuple[float, ...]
+    num_seeds: int
     mean_final_ratio: float
     std_final_ratio: float
     mean_gap: float
     mean_regret: float
+    final_ratios: tuple[float, ...]
 
 
 def summarize_finals(
-    policy: str,
-    horizon: int,
-    seeds: Sequence[int],
-    final_ratios: Sequence[float],
-    theta_star: float,
+    policy: str, horizon: int, final_ratios: Sequence[float], theta_star: float
 ) -> ReplicationSummary:
     """Aggregate per-seed final ratios against the oracle ratio.
 
@@ -181,13 +179,12 @@ def summarize_finals(
     return ReplicationSummary(
         policy=policy,
         horizon=horizon,
-        seeds=tuple(int(s) for s in seeds),
-        theta_star=theta_star,
-        final_ratios=tuple(float(x) for x in ratios),
+        num_seeds=len(ratios),
         mean_final_ratio=float(ratios.mean()),
         std_final_ratio=float(ratios.std()),
         mean_gap=mean_gap,
         mean_regret=horizon * mean_gap,
+        final_ratios=tuple(float(x) for x in ratios),
     )
 
 

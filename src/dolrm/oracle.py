@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from .env import EnvironmentSpec, derived_bounds
 from .policies import PolicyMap, greedy_arm
 
+# Convergence tolerance and update budget of the fixed-point iteration, and
+# the most maps the brute-force cross-check will enumerate.
+DINKELBACH_TOL = 1e-12
+DINKELBACH_MAX_ITER = 1000
 MAX_ENUMERATION = 10**6
 
 
@@ -54,9 +58,7 @@ def best_response(spec: EnvironmentSpec, theta: float) -> PolicyMap:
     return PolicyMap(tuple(actions))
 
 
-def dinkelbach_theta_star(
-    spec: EnvironmentSpec, tol: float = 1e-12, max_iter: int = 1000
-) -> OracleResult:
+def dinkelbach_theta_star(spec: EnvironmentSpec) -> OracleResult:
     """Fixed-point iteration theta <- expected_ratio(best_response(theta)).
 
     Started from theta_min the iterate sequence is non-decreasing and, the
@@ -64,23 +66,19 @@ def dinkelbach_theta_star(
     improvement per distinct map. Returns the fixed point, its map, the
     number of updates performed, and the full iterate trace.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive (got {tol!r})")
     theta = derived_bounds(spec).theta_min
     trace = [theta]
-    for k in range(1, max_iter + 1):
+    for k in range(1, DINKELBACH_MAX_ITER + 1):
         pmap = best_response(spec, theta)
         nxt = expected_ratio(spec, pmap)
         trace.append(nxt)
-        if abs(nxt - theta) <= tol:
+        if abs(nxt - theta) <= DINKELBACH_TOL:
             return OracleResult(nxt, pmap, k, tuple(trace))
         theta = nxt
-    raise RuntimeError(f"ratio iteration did not converge within {max_iter} updates")
+    raise RuntimeError(f"ratio iteration did not converge within {DINKELBACH_MAX_ITER} updates")
 
 
-def brute_force_theta_star(
-    spec: EnvironmentSpec, max_maps: int = MAX_ENUMERATION
-) -> OracleResult:
+def brute_force_theta_star(spec: EnvironmentSpec) -> OracleResult:
     """Exhaustive maximum of expected_ratio over every deterministic map.
 
     Independent of the fixed-point solver on purpose: it exists to
@@ -90,8 +88,8 @@ def brute_force_theta_star(
     n_maps = 1
     for arms_s in spec.arms:
         n_maps *= len(arms_s)
-    if n_maps > max_maps:
-        raise ValueError(f"{n_maps} policy maps exceed the enumeration guard of {max_maps}")
+    if n_maps > MAX_ENUMERATION:
+        raise ValueError(f"{n_maps} policy maps exceed the enumeration guard of {MAX_ENUMERATION}")
     probs = spec.arrival_probs
     arms = spec.arms
     n_types = len(probs)

@@ -23,7 +23,8 @@ import numpy as np
 from .env import EnvironmentSpec, derived_bounds
 from .estimator import ArmStatistics, EstimatorConfig
 
-LEARNING_RATE_MODES = ("decaying", "fixed-sqrtT")
+DEFAULT_LR_MODE = "decaying"
+LEARNING_RATE_MODES = (DEFAULT_LR_MODE, "fixed-sqrtT")
 POLICY_KINDS = ("dolrm", "fixed", "ucb", "ts", "oracle-rm")
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -193,7 +194,7 @@ class DolRmPolicy(_RatioIterate):
     only then folds the new observation into the empirical means.
     """
 
-    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = "decaying"):
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self.stats = ArmStatistics.for_spec(spec)
         self._log_horizon = EstimatorConfig(
@@ -289,8 +290,8 @@ class ClassicUcbPolicy:
         means = self.stats.mean_rewards[s]
         two_log_t = 2.0 * math.log(t)
         best = 0
-        best_score = means[0] + math.sqrt(two_log_t / counts[0])
-        for a in range(1, len(counts)):
+        best_score = -math.inf
+        for a in range(len(counts)):
             score = means[a] + math.sqrt(two_log_t / counts[a])
             if score > best_score:
                 best_score = score
@@ -358,7 +359,7 @@ class OracleRmPolicy(_RatioIterate):
     learner it benchmarks, isolating the effect of estimation error.
     """
 
-    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = "decaying"):
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self._rewards = [[r for r, _ in arms_s] for arms_s in spec.arms]
         self._costs = [[c for _, c in arms_s] for arms_s in spec.arms]

@@ -18,21 +18,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .config import ExperimentConfig, config_echo
-from .env import EnvironmentSpec
 from .harness import EpisodeTrace, ReplicationSummary, fit_loglog_slope, run_episode, summarize_finals
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
-from .policies import PolicyKind, PolicyMap
+from .policies import PolicyMap
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -41,22 +37,27 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_json(path: Path, doc: Any) -> Path:
+    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    return path
+
+
 def trace_run_id(policy: str, horizon: int, seed: int) -> str:
     return f"{policy}-T{horizon}-seed{seed}"
 
 
 def write_trace(path: Path, trace: EpisodeTrace) -> None:
-    run_id = trace_run_id(trace.policy, trace.horizon, trace.seed)
+    head = f"{trace_run_id(trace.policy, trace.horizon, trace.seed)},{trace.policy}"
+    thetas = repeat("") if trace.thetas is None else (f"{x:.12g}" for x in trace.thetas)
+    rows = zip(
+        trace.rounds, trace.task_types, trace.arms, trace.rewards, trace.costs,
+        trace.cum_rewards, trace.cum_costs, trace.ratios, thetas,
+    )
     lines = [TRACE_HEADER]
-    thetas = trace.thetas
-    for i in range(len(trace.rounds)):
-        theta = "" if thetas is None else _fmt(thetas[i])
-        lines.append(
-            f"{run_id},{trace.policy},{trace.rounds[i]},{trace.task_types[i]},"
-            f"{trace.arms[i]},{_fmt(trace.rewards[i])},{_fmt(trace.costs[i])},"
-            f"{_fmt(trace.cum_rewards[i])},{_fmt(trace.cum_costs[i])},"
-            f"{_fmt(trace.ratios[i])},{theta}"
-        )
+    lines.extend(
+        f"{head},{t},{s},{a},{r:.12g},{c:.12g},{cum_r:.12g},{cum_c:.12g},{ratio:.12g},{theta}"
+        for t, s, a, r, c, cum_r, cum_c, ratio, theta in rows
+    )
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -73,32 +74,6 @@ class OutputBundle:
     summaries: tuple[ReplicationSummary, ...]
     oracle: OracleResult
     gap_slopes: dict[str, Optional[float]]
-
-
-def _fixed_map_ratios(env: EnvironmentSpec, policies: tuple[PolicyKind, ...]) -> dict[str, float]:
-    out = {}
-    for kind in policies:
-        if kind.kind == "fixed":
-            out[kind.name] = expected_ratio(env, PolicyMap(kind.actions))
-    return out
-
-
-def _summary_rows(summaries: tuple[ReplicationSummary, ...]) -> list[dict]:
-    rows = []
-    for s in summaries:
-        rows.append(
-            {
-                "policy": s.policy,
-                "horizon": s.horizon,
-                "num_seeds": len(s.seeds),
-                "mean_final_ratio": s.mean_final_ratio,
-                "std_final_ratio": s.std_final_ratio,
-                "mean_gap": s.mean_gap,
-                "mean_regret": s.mean_regret,
-                "final_ratios": list(s.final_ratios),
-            }
-        )
-    return rows
 
 
 def _gap_slopes(cfg: ExperimentConfig, summaries: tuple[ReplicationSummary, ...]) -> dict[str, Optional[float]]:
@@ -119,21 +94,17 @@ def _gap_slopes(cfg: ExperimentConfig, summaries: tuple[ReplicationSummary, ...]
 
 def _summary_table(summaries: tuple[ReplicationSummary, ...], theta_star: float) -> str:
     header = ("policy", "horizon", "seeds", "mean_ratio", "std_ratio", "mean_gap", "mean_regret")
-    rows = [header]
-    for s in summaries:
-        rows.append(
-            (
-                s.policy,
-                str(s.horizon),
-                str(len(s.seeds)),
-                _fmt(s.mean_final_ratio),
-                _fmt(s.std_final_ratio),
-                _fmt(s.mean_gap),
-                _fmt(s.mean_regret),
-            )
+    rows = [header] + [
+        (
+            s.policy,
+            str(s.horizon),
+            str(s.num_seeds),
+            *(f"{x:.12g}" for x in (s.mean_final_ratio, s.std_final_ratio, s.mean_gap, s.mean_regret)),
         )
+        for s in summaries
+    ]
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = [f"optimal ratio: {_fmt(theta_star)}", ""]
+    lines = [f"optimal ratio: {theta_star:.12g}", ""]
     for r in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"
@@ -154,7 +125,12 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     oracle = dinkelbach_theta_star(cfg.environment)
-    fixed_ratios = _fixed_map_ratios(cfg.environment, cfg.policies)
+    optimum = {"theta_star": oracle.theta_star, "optimal_actions": list(oracle.policy.actions)}
+    fixed_ratios = {
+        kind.name: expected_ratio(cfg.environment, PolicyMap(kind.actions))
+        for kind in cfg.policies
+        if kind.kind == "fixed"
+    }
 
     trace_paths = []
     summaries = []
@@ -170,39 +146,29 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
                     lr_mode=cfg.lr_mode,
                     stride=cfg.log_stride,
                 )
-                path = traces_dir / f"trace-{kind.name}-T{horizon}-seed{seed}.csv"
+                path = traces_dir / f"trace-{trace_run_id(kind.name, horizon, seed)}.csv"
                 write_trace(path, trace)
                 trace_paths.append(path)
                 finals.append(trace.final_ratio)
-            summaries.append(
-                summarize_finals(kind.name, horizon, cfg.seeds, finals, oracle.theta_star)
-            )
+            summaries.append(summarize_finals(kind.name, horizon, finals, oracle.theta_star))
     summaries = tuple(summaries)
-
-    config_path = out_dir / "resolved_config.json"
-    _write_atomic(config_path, json.dumps(config_echo(cfg), indent=2) + "\n")
-
-    oracle_path = out_dir / "oracle.json"
-    oracle_doc = {
-        "theta_star": oracle.theta_star,
-        "optimal_actions": list(oracle.policy.actions),
-        "iterations": oracle.iterations,
-        "fixed_map_expected_ratios": fixed_ratios,
-    }
-    _write_atomic(oracle_path, json.dumps(oracle_doc, indent=2) + "\n")
-
     gap_slopes = _gap_slopes(cfg, summaries)
-    summary_json_path = out_dir / "summary.json"
-    summary_doc = {
-        "environment": cfg.environment_name,
-        "theta_star": oracle.theta_star,
-        "optimal_actions": list(oracle.policy.actions),
-        "fixed_map_expected_ratios": fixed_ratios,
-        "results": _summary_rows(summaries),
-        "gap_slopes": gap_slopes,
-    }
-    _write_atomic(summary_json_path, json.dumps(summary_doc, indent=2) + "\n")
 
+    config_path = _write_json(out_dir / "resolved_config.json", config_echo(cfg))
+    oracle_path = _write_json(
+        out_dir / "oracle.json",
+        {**optimum, "iterations": oracle.iterations, "fixed_map_expected_ratios": fixed_ratios},
+    )
+    summary_json_path = _write_json(
+        out_dir / "summary.json",
+        {
+            "environment": cfg.environment_name,
+            **optimum,
+            "fixed_map_expected_ratios": fixed_ratios,
+            "results": [asdict(s) for s in summaries],
+            "gap_slopes": gap_slopes,
+        },
+    )
     summary_table_path = out_dir / "summary.txt"
     _write_atomic(summary_table_path, _summary_table(summaries, oracle.theta_star))
 

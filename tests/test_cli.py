@@ -95,6 +95,20 @@ class TestRunExperiment:
             assert row["final_ratios"] == list(summary.final_ratios)
             assert row["num_seeds"] == 2
 
+    def test_summary_row_keys_in_order(self, bundle):
+        _, out = bundle
+        for row in json.loads(out.summary_json_path.read_text())["results"]:
+            assert list(row) == [
+                "policy",
+                "horizon",
+                "num_seeds",
+                "mean_final_ratio",
+                "std_final_ratio",
+                "mean_gap",
+                "mean_regret",
+                "final_ratios",
+            ]
+
     def test_summary_table_is_readable(self, bundle):
         _, out = bundle
         text = out.summary_table_path.read_text()

@@ -101,10 +101,6 @@ class TestDinkelbach:
         theta = dinkelbach_theta_star(p08).theta_star
         assert b.theta_min <= theta <= b.theta_max
 
-    def test_rejects_non_positive_tolerance(self, p08):
-        with pytest.raises(ValueError, match="tol"):
-            dinkelbach_theta_star(p08, tol=0.0)
-
 
 class TestBruteForce:
     def test_two_type_maximum(self, p08):
@@ -121,9 +117,12 @@ class TestBruteForce:
         result = brute_force_theta_star(two_type_env(p0=0.2))
         assert result.theta_star == pytest.approx(5.0 / 3.0, abs=1e-12)
 
-    def test_enumeration_guard(self, p08):
-        with pytest.raises(ValueError, match="enumeration"):
-            brute_force_theta_star(p08, max_maps=1)
+    def test_enumeration_guard(self):
+        # 8**7 = 2 097 152 maps exceed MAX_ENUMERATION; the guard raises before enumerating.
+        arms = tuple((float(a + 1), 1.0) for a in range(8))
+        spec = EnvironmentSpec((1 / 7,) * 7, (arms,) * 7)
+        with pytest.raises(ValueError, match="2097152 policy maps exceed the enumeration guard"):
+            brute_force_theta_star(spec)
 
 
 class TestRandomSpecAgreement:

@@ -122,10 +122,11 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
     Each type is the first index whose cumulative probability strictly
     exceeds its uniform draw, which makes arrival sequences reproducible
     across implementations sharing the uniform stream. Accumulated rounding
-    can leave the last cumulative at 1 - ulp, so draws above it map to the
-    last type.
+    can leave the last cumulative below 1, so draws above it map to the
+    last type with positive probability.
     """
+    last = max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
     cum = np.cumsum(spec.arrival_probs)
     draws = rng.random(n)
     idx = np.searchsorted(cum, draws, side="right")
-    return np.minimum(idx, spec.num_types - 1).astype(np.int64)
+    return np.minimum(idx, last).astype(np.int64)

@@ -9,27 +9,9 @@ with the fixed, known horizon T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .env import EnvironmentSpec
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Horizon and truncation levels shared by every cell of one episode."""
-
-    horizon: int
-    r_max: float
-    c_min: float
-    bonus_numerator: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
-        if self.c_min <= 0.0:
-            raise ValueError(f"c_min must be positive (got {self.c_min!r})")
-        object.__setattr__(self, "bonus_numerator", math.log(self.horizon))
 
 
 class ArmStatistics:
@@ -42,8 +24,6 @@ class ArmStatistics:
     __slots__ = ("counts", "mean_rewards", "mean_costs")
 
     def __init__(self, arms_per_type: Sequence[int]):
-        if len(arms_per_type) == 0 or any(k < 1 for k in arms_per_type):
-            raise ValueError("every type needs at least one arm")
         self.counts: list[list[int]] = [[0] * k for k in arms_per_type]
         self.mean_rewards: list[list[float]] = [[0.0] * k for k in arms_per_type]
         self.mean_costs: list[list[float]] = [[0.0] * k for k in arms_per_type]
@@ -63,8 +43,8 @@ class ArmStatistics:
         self.counts[s][a] = n1
 
 
-def ucb_reward(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> float:
-    """Optimistic reward estimate min(r_max, mean + sqrt(log T / N)).
+def ucb_reward(stats: ArmStatistics, s: int, a: int, horizon: int, r_max: float) -> float:
+    """Optimistic reward estimate min(r_max, mean + sqrt(log T / N)), T = horizon.
 
     An unpulled cell returns the maximally optimistic sentinel r_max; forced
     exploration keeps that sentinel out of real decisions.
@@ -73,12 +53,12 @@ def ucb_reward(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> fl
         raise IndexError(f"negative cell index ({s}, {a})")
     n = stats.counts[s][a]
     if n == 0:
-        return cfg.r_max
-    return min(cfg.r_max, stats.mean_rewards[s][a] + math.sqrt(cfg.bonus_numerator / n))
+        return r_max
+    return min(r_max, stats.mean_rewards[s][a] + math.sqrt(math.log(horizon) / n))
 
 
-def lcb_cost(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> float:
-    """Pessimistic cost estimate max(c_min, mean - sqrt(log T / N)).
+def lcb_cost(stats: ArmStatistics, s: int, a: int, horizon: int, c_min: float) -> float:
+    """Pessimistic cost estimate max(c_min, mean - sqrt(log T / N)), T = horizon.
 
     An unpulled cell returns the sentinel c_min.
     """
@@ -86,5 +66,5 @@ def lcb_cost(stats: ArmStatistics, cfg: EstimatorConfig, s: int, a: int) -> floa
         raise IndexError(f"negative cell index ({s}, {a})")
     n = stats.counts[s][a]
     if n == 0:
-        return cfg.c_min
-    return max(cfg.c_min, stats.mean_costs[s][a] - math.sqrt(cfg.bonus_numerator / n))
+        return c_min
+    return max(c_min, stats.mean_costs[s][a] - math.sqrt(math.log(horizon) / n))

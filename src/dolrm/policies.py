@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .env import EnvironmentSpec, derived_bounds
-from .estimator import ArmStatistics, EstimatorConfig
+from .estimator import ArmStatistics
 
 DEFAULT_LR_MODE = "decaying"
 LEARNING_RATE_MODES = (DEFAULT_LR_MODE, "fixed-sqrtT")
@@ -54,36 +54,21 @@ def validate_policy_map(spec: EnvironmentSpec, pmap: PolicyMap) -> PolicyMap:
     return pmap
 
 
-@dataclass(frozen=True)
-class LearningRateSchedule:
-    """Step-size rule for the ratio iteration.
+def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
+    """Step size at round t (1-based) for the ratio iteration.
 
     "decaying" uses eta_t = 1 / (c_min * (t + 1)); "fixed-sqrtT" uses the
     horizon-tuned constant 1 / (c_min * sqrt(T)) at every round.
     """
-
-    mode: str
-    c_min: float
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.mode not in LEARNING_RATE_MODES:
-            raise ValueError(
-                f"unknown learning-rate mode {self.mode!r}; expected one of {LEARNING_RATE_MODES}"
-            )
-        if self.c_min <= 0.0:
-            raise ValueError(f"c_min must be positive (got {self.c_min!r})")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
-
-
-def learning_rate(schedule: LearningRateSchedule, t: int) -> float:
-    """Step size at round t (1-based)."""
+    if mode not in LEARNING_RATE_MODES:
+        raise ValueError(
+            f"unknown learning-rate mode {mode!r}; expected one of {LEARNING_RATE_MODES}"
+        )
     if t < 1:
         raise ValueError(f"round index must be >= 1 (got {t})")
-    if schedule.mode == "decaying":
-        return 1.0 / (schedule.c_min * (t + 1))
-    return 1.0 / (schedule.c_min * math.sqrt(schedule.horizon))
+    if mode == "decaying":
+        return 1.0 / (c_min * (t + 1))
+    return 1.0 / (c_min * math.sqrt(horizon))
 
 
 def ratio_step(
@@ -163,11 +148,12 @@ class _RatioIterate:
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
         bounds = derived_bounds(spec)
-        schedule = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
         self.bounds = bounds
         self.theta = bounds.theta_min
         self.round = 1
-        self._fixed_eta = None if lr_mode == "decaying" else learning_rate(schedule, 1)
+        # Called for either mode so that an unknown mode fails here.
+        eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
+        self._fixed_eta = None if lr_mode == "decaying" else eta
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         bounds = self.bounds
@@ -197,9 +183,7 @@ class DolRmPolicy(_RatioIterate):
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self.stats = ArmStatistics.for_spec(spec)
-        self._log_horizon = EstimatorConfig(
-            horizon, self.bounds.r_max, self.bounds.c_min
-        ).bonus_numerator
+        self._log_horizon = math.log(horizon)
 
     def select(self, s: int) -> int:
         if s < 0:
@@ -281,8 +265,6 @@ class ClassicUcbPolicy:
         if s < 0:
             raise IndexError(f"negative task type {s}")
         t = self.round
-        if t < 1:
-            raise ValueError(f"round index must be >= 1 (got {t})")
         counts = self.stats.counts[s]
         for a, n in enumerate(counts):
             if n == 0:

@@ -37,9 +37,8 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, doc: Any) -> Path:
+def _write_json(path: Path, doc: Any) -> None:
     _write_atomic(path, json.dumps(doc, indent=2) + "\n")
-    return path
 
 
 def trace_run_id(policy: str, horizon: int, seed: int) -> str:
@@ -123,6 +122,14 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     out_dir = Path(cfg.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
+    config_path = out_dir / "resolved_config.json"
+    oracle_path = out_dir / "oracle.json"
+    summary_json_path = out_dir / "summary.json"
+    summary_table_path = out_dir / "summary.txt"
+    # These are written after the last episode; a run that fails before then
+    # must not leave an earlier run's copies beside its own partial traces.
+    for path in (config_path, oracle_path, summary_json_path, summary_table_path):
+        path.unlink(missing_ok=True)
 
     oracle = dinkelbach_theta_star(cfg.environment)
     optimum = {"theta_star": oracle.theta_star, "optimal_actions": list(oracle.policy.actions)}
@@ -154,13 +161,13 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     summaries = tuple(summaries)
     gap_slopes = _gap_slopes(cfg, summaries)
 
-    config_path = _write_json(out_dir / "resolved_config.json", config_echo(cfg))
-    oracle_path = _write_json(
-        out_dir / "oracle.json",
+    _write_json(config_path, config_echo(cfg))
+    _write_json(
+        oracle_path,
         {**optimum, "iterations": oracle.iterations, "fixed_map_expected_ratios": fixed_ratios},
     )
-    summary_json_path = _write_json(
-        out_dir / "summary.json",
+    _write_json(
+        summary_json_path,
         {
             "environment": cfg.environment_name,
             **optimum,
@@ -169,7 +176,6 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
             "gap_slopes": gap_slopes,
         },
     )
-    summary_table_path = out_dir / "summary.txt"
     _write_atomic(summary_table_path, _summary_table(summaries, oracle.theta_star))
 
     return OutputBundle(

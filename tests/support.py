@@ -1,0 +1,107 @@
+"""Shared test helpers: the reference environments and the scalar samplers.
+
+Test modules import these with ``from support import ...``. They live in
+their own module, not in ``conftest.py``: ``perfbench/tests`` has a
+``conftest.py`` too, both are imported as the module ``conftest``, and in
+a run that collects both suites the one collected first is shadowed.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from dolrm.env import EnvironmentSpec
+
+TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
+
+
+def two_type_env(p0: float = 0.8, sigma: float = 1.0) -> EnvironmentSpec:
+    return EnvironmentSpec((p0, 1.0 - p0), TWO_TYPE_ARMS, sigma)
+
+
+def seven_type_env(sigma: float = 1.0) -> EnvironmentSpec:
+    return EnvironmentSpec(
+        (0.3, 0.1, 0.2, 0.1, 0.05, 0.1, 0.15),
+        (
+            ((3.0, 1.0),),
+            ((3.0, 2.0), (1.0, 1.0)),
+            ((2.0, 1.0),),
+            ((2.5, 1.5),),
+            ((2.0, 1.0), (1.0, 1.0)),
+            ((3.0, 2.0), (1.5, 1.5)),
+            ((2.5, 1.0),),
+        ),
+        sigma,
+    )
+
+
+class Feedback(NamedTuple):
+    """One round of bandit feedback for the chosen arm."""
+
+    reward: float
+    cost: float
+
+
+def sample_task(spec: EnvironmentSpec, rng) -> int:
+    """Scalar reference for dolrm.env.sample_tasks: one task type by inverse CDF.
+
+    Returns the first index whose cumulative probability strictly exceeds a
+    single uniform draw.
+    """
+    u = rng.random()
+    acc = 0.0
+    for s, p in enumerate(spec.arrival_probs):
+        acc += p
+        if acc > u:
+            return s
+    # accumulated rounding can leave the last cumulative below 1; such a
+    # draw goes to the last type with positive probability
+    return max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
+
+
+def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
+    """Scalar reference for run_episode's bulk noise pre-draw.
+
+    Consumes exactly two standard normals per call (reward noise first, then
+    cost noise) so the stream position depends only on the number of calls;
+    sigma = 0 returns the exact means and consumes no randomness.
+    """
+    if not 0 <= s < spec.num_types:
+        raise IndexError(f"task type {s} out of range for {spec.num_types} types")
+    arms_s = spec.arms[s]
+    if not 0 <= a < len(arms_s):
+        raise IndexError(f"arm {a} out of range for type {s} with {len(arms_s)} arms")
+    r, c = arms_s[a]
+    sigma = spec.noise_sigma
+    if sigma == 0.0:
+        return Feedback(r, c)
+    g = rng.standard_normal(2)
+    return Feedback(r + sigma * g[0], c + sigma * g[1])
+
+
+class StubRng:
+    """Deterministic stand-in for a Generator, fed from queued values.
+
+    random() and standard_normal() pop one float; random(n) and
+    standard_normal(n) pop n floats and return them as an array. Running
+    out of queued values fails the test.
+    """
+
+    def __init__(self, uniforms=(), normals=()):
+        self._uniforms = list(uniforms)
+        self._normals = list(normals)
+
+    def random(self, n=None):
+        return self._pop(self._uniforms, n, "uniform")
+
+    def standard_normal(self, n=None):
+        return self._pop(self._normals, n, "normal")
+
+    @staticmethod
+    def _pop(queue, n, what):
+        assert len(queue) >= (1 if n is None else n), f"stub rng ran out of {what} draws"
+        if n is None:
+            return queue.pop(0)
+        out = np.array(queue[:n])
+        del queue[:n]
+        return out

@@ -16,7 +16,7 @@ import pytest
 
 from dolrm.env import derived_bounds
 from dolrm.harness import ARRIVAL_STREAM, POLICY_STREAM, stream_rng
-from dolrm.estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
+from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
 from dolrm.oracle import brute_force_theta_star, dinkelbach_theta_star, expected_ratio
 from dolrm.policies import (
     ClassicUcbPolicy,
@@ -28,7 +28,7 @@ from dolrm.policies import (
 )
 from dolrm.runner import run_experiment
 
-from conftest import sample_task, seven_type_env, two_type_env
+from support import sample_task, seven_type_env, two_type_env
 from test_cli import tiny_config
 from test_oracle import random_spec
 
@@ -203,7 +203,7 @@ def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
         ok &= bounds.theta_min <= oracle.theta <= bounds.theta_max
 
     # estimator truncation and bonus monotonicity under fuzzed statistics
-    cfg = EstimatorConfig(10_000, r_max=3.0, c_min=1.0)
+    horizon, r_max, c_min = 10_000, 3.0, 1.0
     means = rng.uniform(-5.0, 5.0, 20_000)
     counts = rng.integers(1, 10**6, 20_000)
     for mean, count in zip(means.tolist(), counts.tolist()):
@@ -211,13 +211,13 @@ def test_acceptance_6_invariant_fuzz(criterion, p08_spec, tmp_path):
         stats.counts[0][0] = count
         stats.mean_rewards[0][0] = mean
         stats.mean_costs[0][0] = mean
-        r_hat = ucb_reward(stats, cfg, 0, 0)
-        c_check = lcb_cost(stats, cfg, 0, 0)
-        ok &= min(cfg.r_max, mean) <= r_hat <= cfg.r_max
-        ok &= cfg.c_min <= c_check <= max(cfg.c_min, mean)
+        r_hat = ucb_reward(stats, 0, 0, horizon, r_max)
+        c_check = lcb_cost(stats, 0, 0, horizon, c_min)
+        ok &= min(r_max, mean) <= r_hat <= r_max
+        ok &= c_min <= c_check <= max(c_min, mean)
         stats.counts[0][0] = count + 1
-        ok &= ucb_reward(stats, cfg, 0, 0) <= r_hat
-        ok &= lcb_cost(stats, cfg, 0, 0) >= c_check
+        ok &= ucb_reward(stats, 0, 0, horizon, r_max) <= r_hat
+        ok &= lcb_cost(stats, 0, 0, horizon, c_min) >= c_check
 
     # forced exploration: each type's first |arms| arrivals sweep its arms
     seven = seven_type_env()

@@ -7,10 +7,11 @@ import pytest
 
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
+from dolrm.harness import run_episode
 from dolrm.policies import PolicyKind
 from dolrm.runner import TRACE_HEADER, run_experiment, trace_run_id
 
-from conftest import TWO_TYPE_ARMS
+from support import TWO_TYPE_ARMS
 
 ALL_KINDS = (
     PolicyKind("dolrm"),
@@ -145,6 +146,25 @@ class TestRunExperiment:
         assert not (tmp_path / "out" / "traces").exists() or not list(
             (tmp_path / "out" / "traces").iterdir()
         )
+
+    def test_crashed_rerun_leaves_no_summary(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        first = run_experiment(cfg)
+        calls = []
+
+        def crash_on_third_episode(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("episode 3 failed")
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_third_episode)
+        with pytest.raises(RuntimeError, match="episode 3"):
+            run_experiment(cfg)
+        for name in ("summary.json", "summary.txt", "oracle.json", "resolved_config.json"):
+            assert not (first.output_dir / name).exists()
+        # traces are left alone: the earlier run's stay beside the new partial ones
+        assert all(path.exists() for path in first.trace_paths)
 
     def test_gap_slopes_reported_for_horizon_grids(self, tmp_path):
         cfg = tiny_config(

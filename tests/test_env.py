@@ -7,7 +7,7 @@ from dolrm.env import EnvironmentSpec, derived_bounds, sample_tasks, validate_en
 from dolrm.harness import run_episode
 from dolrm.policies import PolicyKind
 
-from conftest import Feedback, StubRng, sample_feedback, sample_task, two_type_env
+from support import Feedback, StubRng, sample_feedback, sample_task, two_type_env
 
 
 class TestValidation:
@@ -99,6 +99,18 @@ class TestArrivalSampling:
         # cumulative float sum tops out just below 1; a draw above it must
         # still land on a valid index
         assert sample_task(spec, StubRng(uniforms=[0.9999999999999999])) == 2
+        assert sample_tasks(spec, 1, StubRng(uniforms=[0.9999999999999999])).tolist() == [2]
+
+    def test_rounding_shortfall_skips_zero_probability_types(self):
+        # valid (the sum is within 1e-12 of 1), and the cumulative tops out
+        # at 1 - 1e-13: a draw above it must not land on the type that
+        # never arrives
+        spec = validate_env(
+            EnvironmentSpec((0.5, 0.5 - 1e-13, 0.0), (((1.0, 1.0),),) * 3)
+        )
+        u = 0.99999999999999
+        assert sample_tasks(spec, 3, StubRng(uniforms=[u] * 3)).tolist() == [1, 1, 1]
+        assert sample_task(spec, StubRng(uniforms=[u])) == 1
 
     def test_batch_matches_scalar_draws(self, p08):
         n = 200

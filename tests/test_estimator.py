@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dolrm.estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
+from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
 
-CFG_T100 = EstimatorConfig(horizon=100, r_max=3.0, c_min=1.0)
+# every bound below uses horizon 100, r_max 3.0 and c_min 1.0
+T, R_MAX, C_MIN = 100, 3.0, 1.0
 
 sane_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -19,20 +20,6 @@ def stats_with(s, a, count, mean_reward=0.0, mean_cost=0.0, shape=(1, 2)):
     stats.mean_rewards[s][a] = mean_reward
     stats.mean_costs[s][a] = mean_cost
     return stats
-
-
-class TestConfig:
-    def test_bonus_numerator_is_log_horizon(self):
-        assert CFG_T100.bonus_numerator == math.log(100.0)
-        assert EstimatorConfig(1, 1.0, 1.0).bonus_numerator == 0.0
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            EstimatorConfig(0, 3.0, 1.0)
-
-    def test_rejects_non_positive_c_min(self):
-        with pytest.raises(ValueError, match="c_min"):
-            EstimatorConfig(10, 3.0, 0.0)
 
 
 class TestRecord:
@@ -69,67 +56,61 @@ class TestRecord:
         with pytest.raises(IndexError):
             stats.record(1, 0, 1.0, 1.0)
 
-    def test_rejects_empty_shapes(self):
-        with pytest.raises(ValueError):
-            ArmStatistics([])
-        with pytest.raises(ValueError):
-            ArmStatistics([1, 0])
-
 
 class TestUcbReward:
     def test_frozen_arithmetic(self):
         stats = stats_with(0, 0, count=4, mean_reward=0.5)
         expected = 0.5 + math.sqrt(math.log(100.0) / 4.0)
-        got = ucb_reward(stats, CFG_T100, 0, 0)
+        got = ucb_reward(stats, 0, 0, T, R_MAX)
         assert got == expected
         assert got == pytest.approx(1.5729830131446736, rel=1e-15)
 
     def test_truncates_at_r_max(self):
         stats = stats_with(0, 0, count=1, mean_reward=2.9)
-        assert ucb_reward(stats, CFG_T100, 0, 0) == 3.0
+        assert ucb_reward(stats, 0, 0, T, R_MAX) == 3.0
 
     def test_unpulled_cell_returns_r_max(self):
-        assert ucb_reward(ArmStatistics([1]), CFG_T100, 0, 0) == 3.0
+        assert ucb_reward(ArmStatistics([1]), 0, 0, T, R_MAX) == 3.0
 
     def test_rejects_negative_indices(self):
         with pytest.raises(IndexError):
-            ucb_reward(ArmStatistics([1]), CFG_T100, 0, -1)
+            ucb_reward(ArmStatistics([1]), 0, -1, T, R_MAX)
 
 
 class TestLcbCost:
     def test_truncates_at_c_min(self):
         stats = stats_with(0, 0, count=4, mean_cost=2.0)
-        assert lcb_cost(stats, CFG_T100, 0, 0) == 1.0
+        assert lcb_cost(stats, 0, 0, T, C_MIN) == 1.0
 
     def test_frozen_arithmetic(self):
         stats = stats_with(0, 0, count=400, mean_cost=2.0)
-        got = lcb_cost(stats, CFG_T100, 0, 0)
+        got = lcb_cost(stats, 0, 0, T, C_MIN)
         assert got == 2.0 - math.sqrt(math.log(100.0) / 400.0)
         assert got == pytest.approx(1.8927016986855327, rel=1e-15)
 
     def test_unpulled_cell_returns_c_min(self):
-        assert lcb_cost(ArmStatistics([1]), CFG_T100, 0, 0) == 1.0
+        assert lcb_cost(ArmStatistics([1]), 0, 0, T, C_MIN) == 1.0
 
     def test_rejects_negative_indices(self):
         with pytest.raises(IndexError):
-            lcb_cost(ArmStatistics([1]), CFG_T100, -1, 0)
+            lcb_cost(ArmStatistics([1]), -1, 0, T, C_MIN)
 
 
 @given(mean=sane_floats, n=st.integers(min_value=1, max_value=10**9))
 def test_estimates_stay_inside_truncation_bounds(mean, n):
     stats = stats_with(0, 0, count=n, mean_reward=mean, mean_cost=mean)
-    r_hat = ucb_reward(stats, CFG_T100, 0, 0)
-    c_check = lcb_cost(stats, CFG_T100, 0, 0)
-    assert min(CFG_T100.r_max, mean) <= r_hat <= CFG_T100.r_max
-    assert CFG_T100.c_min <= c_check <= max(CFG_T100.c_min, mean)
+    r_hat = ucb_reward(stats, 0, 0, T, R_MAX)
+    c_check = lcb_cost(stats, 0, 0, T, C_MIN)
+    assert min(R_MAX, mean) <= r_hat <= R_MAX
+    assert C_MIN <= c_check <= max(C_MIN, mean)
 
 
 @given(mean=sane_floats, n=st.integers(min_value=1, max_value=10**6))
 def test_bonus_shrinks_with_more_pulls(mean, n):
     fewer = stats_with(0, 0, count=n, mean_reward=mean, mean_cost=mean)
     more = stats_with(0, 0, count=n + 1, mean_reward=mean, mean_cost=mean)
-    assert ucb_reward(more, CFG_T100, 0, 0) <= ucb_reward(fewer, CFG_T100, 0, 0)
-    assert lcb_cost(more, CFG_T100, 0, 0) >= lcb_cost(fewer, CFG_T100, 0, 0)
+    assert ucb_reward(more, 0, 0, T, R_MAX) <= ucb_reward(fewer, 0, 0, T, R_MAX)
+    assert lcb_cost(more, 0, 0, T, C_MIN) >= lcb_cost(fewer, 0, 0, T, C_MIN)
 
 
 @given(
@@ -168,12 +149,11 @@ def test_optimistic_estimate_covers_true_mean():
     # fraction of trials where the reward UCB at N=50 sits above the true
     # mean; the bonus at T=1e4 makes this overwhelmingly likely
     true_mean, n, trials = 2.0, 50, 10_000
-    cfg = EstimatorConfig(horizon=10_000, r_max=3.0, c_min=1.0)
     rng = np.random.default_rng(123)
     sample_means = true_mean + rng.standard_normal((trials, n)).mean(axis=1)
     covered = 0
     for m in sample_means:
         stats = stats_with(0, 0, count=n, mean_reward=float(m))
-        if ucb_reward(stats, cfg, 0, 0) >= true_mean:
+        if ucb_reward(stats, 0, 0, 10_000, R_MAX) >= true_mean:
             covered += 1
     assert covered / trials >= 0.95

@@ -23,7 +23,7 @@ from dolrm.policies import (
 )
 from dolrm.runner import run_experiment
 
-from conftest import sample_feedback, sample_task, two_type_env
+from support import sample_feedback, sample_task, two_type_env
 from test_cli import tiny_config
 
 SINGLETON = EnvironmentSpec((1.0,), (((2.0, 1.0),),), 0.0)

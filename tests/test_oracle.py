@@ -15,7 +15,7 @@ from dolrm.oracle import (
 )
 from dolrm.policies import PolicyMap
 
-from conftest import seven_type_env, two_type_env
+from support import seven_type_env, two_type_env
 
 GREEDY = PolicyMap((0, 0))
 REVERSE = PolicyMap((0, 1))

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dolrm.env import EnvironmentSpec, derived_bounds
-from dolrm.estimator import ArmStatistics, EstimatorConfig, lcb_cost, ucb_reward
+from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
 from dolrm.oracle import best_response
 from dolrm.policies import (
     LEARNING_RATE_MODES,
     ClassicUcbPolicy,
     DolRmPolicy,
     FixedMapPolicy,
-    LearningRateSchedule,
     OracleRmPolicy,
     PolicyKind,
     PolicyMap,
@@ -25,7 +24,7 @@ from dolrm.policies import (
     validate_policy_map,
 )
 
-from conftest import StubRng, two_type_env
+from support import StubRng, two_type_env
 
 # exact dyadic floats make argmax comparisons immune to rounding
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: k / 4.0)
@@ -63,32 +62,22 @@ def ts_policy(stats, rng):
 
 class TestLearningRate:
     def test_fixed_rate_is_constant_over_rounds(self):
-        sched = LearningRateSchedule("fixed-sqrtT", c_min=1.0, horizon=10_000)
-        assert learning_rate(sched, 1) == 0.01
-        assert learning_rate(sched, 9_999) == 0.01
+        assert learning_rate("fixed-sqrtT", 1.0, 10_000, 1) == 0.01
+        assert learning_rate("fixed-sqrtT", 1.0, 10_000, 9_999) == 0.01
 
     def test_decaying_rate(self):
-        sched = LearningRateSchedule("decaying", c_min=1.0, horizon=100)
-        assert learning_rate(sched, 9) == pytest.approx(0.1, rel=1e-15)
+        assert learning_rate("decaying", 1.0, 100, 9) == pytest.approx(0.1, rel=1e-15)
 
     def test_decaying_rate_scales_with_c_min(self):
-        sched = LearningRateSchedule("decaying", c_min=2.0, horizon=100)
-        assert learning_rate(sched, 1) == 0.25
+        assert learning_rate("decaying", 2.0, 100, 1) == 0.25
 
     def test_rejects_round_zero(self):
-        sched = LearningRateSchedule("decaying", c_min=1.0, horizon=100)
         with pytest.raises(ValueError, match="round index"):
-            learning_rate(sched, 0)
+            learning_rate("decaying", 1.0, 100, 0)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="learning-rate mode"):
-            LearningRateSchedule("adagrad", c_min=1.0, horizon=100)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="c_min"):
-            LearningRateSchedule("decaying", c_min=0.0, horizon=100)
-        with pytest.raises(ValueError, match="horizon"):
-            LearningRateSchedule("decaying", c_min=1.0, horizon=0)
+            learning_rate("adagrad", 1.0, 100, 1)
 
 
 class TestRatioStep:
@@ -246,15 +235,13 @@ class TestDolRmPolicy:
         policy = DolRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
         shadow = ArmStatistics.for_spec(spec)
-        cfg = EstimatorConfig(horizon, bounds.r_max, bounds.c_min)
-        sched = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
         theta = bounds.theta_min
         rng = np.random.default_rng(seed)
         for t in range(1, horizon + 1):
             s = int(rng.integers(spec.num_types))
             cells = range(spec.num_arms(s))
-            r_hats = [ucb_reward(shadow, cfg, s, b) for b in cells]
-            c_checks = [lcb_cost(shadow, cfg, s, b) for b in cells]
+            r_hats = [ucb_reward(shadow, s, b, horizon, bounds.r_max) for b in cells]
+            c_checks = [lcb_cost(shadow, s, b, horizon, bounds.c_min) for b in cells]
             unpulled = [b for b in cells if shadow.counts[s][b] == 0]
             a = policy.select(s)
             assert a == (unpulled[0] if unpulled else greedy_arm(r_hats, c_checks, theta))
@@ -262,7 +249,7 @@ class TestDolRmPolicy:
             reward = r + spec.noise_sigma * rng.standard_normal()
             cost = c + spec.noise_sigma * rng.standard_normal()
             theta = ratio_step(
-                theta, learning_rate(sched, t), r_hats[a], c_checks[a],
+                theta, learning_rate(lr_mode, bounds.c_min, horizon, t), r_hats[a], c_checks[a],
                 bounds.theta_min, bounds.theta_max,
             )
             shadow.record(s, a, reward, cost)
@@ -313,8 +300,6 @@ class TestUcbBaseline:
 
     def test_rejects_bad_round_and_type(self):
         stats = ArmStatistics([1])
-        with pytest.raises(ValueError, match="round index"):
-            ucb_policy(stats, t=0).select(0)
         with pytest.raises(IndexError):
             ucb_policy(stats, t=1).select(-1)
 
@@ -421,7 +406,6 @@ class TestOracleRm:
     def test_matches_ratio_step_on_true_means(self, lr_mode, spec, horizon, seed):
         policy = OracleRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
-        sched = LearningRateSchedule(lr_mode, bounds.c_min, horizon)
         theta = bounds.theta_min
         rng = np.random.default_rng(seed)
         for t in range(1, horizon + 1):
@@ -431,7 +415,7 @@ class TestOracleRm:
             a = policy.select(s)
             assert a == greedy_arm(rewards, costs, theta)
             theta = ratio_step(
-                theta, learning_rate(sched, t), rewards[a], costs[a],
+                theta, learning_rate(lr_mode, bounds.c_min, horizon, t), rewards[a], costs[a],
                 bounds.theta_min, bounds.theta_max,
             )
             policy.update(s, a, rewards[a] + rng.standard_normal(), costs[a])
@@ -459,6 +443,11 @@ class TestMakePolicy:
             make_policy(PolicyKind("oracle-rm"), p08, 10, "decaying", rng),
             OracleRmPolicy,
         )
+
+    @pytest.mark.parametrize("kind", ["dolrm", "oracle-rm"])
+    def test_unknown_lr_mode_fails_when_built(self, p08, kind):
+        with pytest.raises(ValueError, match="'adagrad'"):
+            make_policy(PolicyKind(kind), p08, 10, "adagrad", np.random.default_rng(0))
 
 
 def test_noiseless_learner_concentrates_on_the_optimal_map():

@@ -1,0 +1,124 @@
+"""Byte-level reproducibility: the SHA-256 of everything a small sweep writes.
+
+The sweep runs every preset under both learning-rate modes at sigma 0, 0.7
+and the preset's own sigma, plus one inline noiseless environment with a
+``-0.0`` mean reward and two identical arms (so every argmax meets an exact
+tie), through the command line: ``dolrm run`` and ``dolrm oracle`` per
+config, and ``dolrm presets`` once. Each config runs dolrm, ucb, ts,
+oracle-rm and a labelled fixed map at horizons 1, 50, 500 and 3000, seeds
+0-2 and log stride 7. ``golden/digests.json`` holds the digest of every
+output file and of each command's stdout, with the output path replaced by
+``<out>``. ``resolved_config.json`` is left out because it echoes the
+output path.
+
+Re-record the digests only for a change that alters the random streams or
+the output format on purpose, and say why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from dolrm.cli import main
+from dolrm.config import PRESETS
+from dolrm.policies import LEARNING_RATE_MODES
+
+DIGESTS_PATH = Path(__file__).parent / "golden" / "digests.json"
+HORIZONS = [1, 50, 500, 3000]
+SEEDS = [0, 1, 2]
+LOG_STRIDE = 7
+SIGMAS = (0.0, 0.7, None)  # None keeps the preset's own sigma
+SIGNED_ZERO_ENV = {
+    "arrival_probs": [0.5, 0.5],
+    "arms": [[[-0.0, 0.5]], [[1.5, 0.75], [1.5, 0.75]]],
+    "noise_sigma": 0.0,
+}
+UNDIGESTED = {"resolved_config.json"}
+
+
+def sweep_configs():
+    """(name, environment keys, per-type arm counts) of every sweep config."""
+    for preset in sorted(PRESETS):
+        arms = [len(arms_s) for arms_s in PRESETS[preset]["environment"]["arms"]]
+        for lr_mode in LEARNING_RATE_MODES:
+            for sigma in SIGMAS:
+                env = {"environment": preset, "learning_rate": lr_mode}
+                if sigma is not None:
+                    env["noise_sigma"] = sigma
+                label = "default" if sigma is None else f"{sigma:g}"
+                yield f"{preset}-{lr_mode}-sigma-{label}", env, arms
+    for lr_mode in LEARNING_RATE_MODES:
+        env = {
+            "environment": SIGNED_ZERO_ENV,
+            "environment_name": "signed-zero",
+            "learning_rate": lr_mode,
+        }
+        yield f"signed-zero-{lr_mode}", env, [len(arms_s) for arms_s in SIGNED_ZERO_ENV["arms"]]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_stdout(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def sweep(work: Path) -> dict[str, str]:
+    """Run the sweep under ``work`` and return {output name: SHA-256}."""
+    digests = {"presets/stdout": sha256(cli_stdout("presets").encode())}
+    for name, env, arms in sweep_configs():
+        out_dir = work / name
+        config = {
+            **env,
+            "policies": [
+                {"kind": "dolrm"},
+                {"kind": "ucb"},
+                {"kind": "ts"},
+                {"kind": "oracle-rm"},
+                {"kind": "fixed", "actions": [k - 1 for k in arms], "label": "last-arms"},
+            ],
+            "horizons": HORIZONS,
+            "seeds": SEEDS,
+            "log_stride": LOG_STRIDE,
+            "output_dir": str(out_dir),
+        }
+        config_path = work / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        for command in ("run", "oracle"):
+            stdout = cli_stdout(command, str(config_path)).replace(str(out_dir), "<out>")
+            digests[f"{name}/stdout-{command}"] = sha256(stdout.encode())
+        for path in sorted(out_dir.rglob("*")):
+            if path.is_file() and path.name not in UNDIGESTED:
+                digests[f"{name}/{path.relative_to(out_dir).as_posix()}"] = sha256(
+                    path.read_bytes()
+                )
+    return digests
+
+
+def test_sweep_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(DIGESTS_PATH.read_text())
+    actual = sweep(tmp_path)
+    missing = sorted(expected.keys() - actual.keys())
+    extra = sorted(actual.keys() - expected.keys())
+    changed = sorted(k for k in expected.keys() & actual.keys() if expected[k] != actual[k])
+    assert not (missing or extra or changed), (
+        f"{len(changed)} outputs changed, {len(missing)} missing, {len(extra)} unexpected; "
+        f"first changed: {changed[:5]}, missing: {missing[:5]}, unexpected: {extra[:5]}"
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        digests = sweep(Path(work))
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    DIGESTS_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(digests)} digests in {DIGESTS_PATH}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,15 +85,21 @@ def run_episode(
         raise ValueError(f"stride must be >= 1 (got {stride})")
 
     policy = make_policy(kind, spec, horizon, lr_mode, stream_rng(seed, POLICY_STREAM))
+    select = policy.select
+    update = policy.update
     tasks = sample_tasks(spec, horizon, stream_rng(seed, ARRIVAL_STREAM)).tolist()
     sigma = spec.noise_sigma
-    # Bulk pre-draw consumes the feedback stream exactly like per-round
-    # draws: two normals per round, reward noise first.
-    noise = (
-        stream_rng(seed, FEEDBACK_STREAM).standard_normal((horizon, 2)).tolist()
-        if sigma > 0.0
-        else None
-    )
+    # One bulk draw consumes the feedback stream exactly like per-round
+    # draws: two normals per round, reward noise first. Scaling by sigma in
+    # numpy gives the same IEEE products as scaling each Python float. At
+    # sigma 0 every addend is -0.0, the one value that leaves each mean,
+    # -0.0 included, unchanged.
+    if sigma > 0.0:
+        noise = stream_rng(seed, FEEDBACK_STREAM).standard_normal((horizon, 2)) * sigma
+        reward_noise = noise[:, 0].tolist()
+        cost_noise = noise[:, 1].tolist()
+    else:
+        reward_noise = cost_noise = repeat(-0.0)
     arms = spec.arms
 
     track_theta = policy.theta is not None
@@ -108,18 +115,17 @@ def run_episode(
 
     cum_r = 0.0
     cum_c = 0.0
-    for t in range(1, horizon + 1):
-        s = tasks[t - 1]
-        a = policy.select(s)
+    next_row = min(stride, horizon)
+    for t, s, noise_r, noise_c in zip(range(1, horizon + 1), tasks, reward_noise, cost_noise):
+        a = select(s)
         r, c = arms[s][a]
-        if noise is not None:
-            g = noise[t - 1]
-            r = r + sigma * g[0]
-            c = c + sigma * g[1]
-        policy.update(s, a, r, c)
+        r += noise_r
+        c += noise_c
+        update(s, a, r, c)
         cum_r += r
         cum_c += c
-        if t % stride == 0 or t == horizon:
+        if t == next_row:
+            next_row = min(t + stride, horizon)
             rounds.append(t)
             types_col.append(s)
             arms_col.append(a)

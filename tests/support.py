@@ -1,4 +1,5 @@
-"""Shared test helpers: the reference environments and the scalar samplers.
+"""Shared test helpers: the reference environments, the scalar samplers and
+the per-call Thompson-sampling reference.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -6,11 +7,13 @@ their own module, not in ``conftest.py``: ``perfbench/tests`` has a
 a run that collects both suites the one collected first is shadowed.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from dolrm.env import EnvironmentSpec
+from dolrm.policies import ThompsonSamplingPolicy
 
 TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
 
@@ -77,6 +80,41 @@ def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
         return Feedback(r, c)
     g = rng.standard_normal(2)
     return Feedback(r + sigma * g[0], c + sigma * g[1])
+
+
+class PerCallThompsonSampling(ThompsonSamplingPolicy):
+    """Readable reference for ThompsonSamplingPolicy.select.
+
+    Draws one vector of 2k standard normals from the policy stream per
+    decision, rewards in the first k slots and costs in the last k, where
+    the policy reads the same numbers from its chunked buffer.
+    """
+
+    def select(self, s: int) -> int:
+        if s < 0:
+            raise IndexError(f"negative task type {s}")
+        stats = self.stats
+        counts = stats.counts[s]
+        for a, n in enumerate(counts):
+            if n == 0:
+                return a
+        k = len(counts)
+        mean_r = stats.mean_rewards[s]
+        mean_c = stats.mean_costs[s]
+        c_min = self.c_min
+        z = self.rng.standard_normal(2 * k)
+        best = 0
+        best_score = -math.inf
+        for a in range(k):
+            sd = 1.0 / math.sqrt(counts[a])
+            c_draw = mean_c[a] + sd * z[k + a]
+            if c_draw < c_min:
+                c_draw = c_min
+            score = (mean_r[a] + sd * z[a]) / c_draw
+            if score > best_score:
+                best_score = score
+                best = a
+        return best
 
 
 class StubRng:

@@ -23,10 +23,11 @@ from dolrm.policies import (
 )
 from dolrm.runner import run_experiment
 
-from support import sample_feedback, sample_task, two_type_env
+from support import PerCallThompsonSampling, sample_feedback, sample_task, two_type_env
 from test_cli import tiny_config
 
 SINGLETON = EnvironmentSpec((1.0,), (((2.0, 1.0),),), 0.0)
+SIGNED_ZERO = EnvironmentSpec((0.5, 0.5), (((-0.0, 0.5),), ((1.5, 0.75), (1.5, 0.75))), 0.0)
 DOLRM = PolicyKind("dolrm")
 REVERSE = PolicyKind("fixed", (0, 1), "reverse")
 GREEDY = PolicyKind("fixed", (0, 0), "greedy")
@@ -125,21 +126,55 @@ class TestRunEpisode:
             run_episode(p08, DOLRM, 10, 0, stride=0)
 
     def test_matches_manual_scalar_replay(self, p08):
-        horizon = 12
-        trace = run_episode(p08, DOLRM, horizon, 21, stride=1)
-        arrival = stream_rng(21, ARRIVAL_STREAM)
-        feedback = stream_rng(21, FEEDBACK_STREAM)
-        policy = make_policy(DOLRM, p08, horizon, "decaying", stream_rng(21, POLICY_STREAM))
-        for i in range(horizon):
-            s = sample_task(p08, arrival)
-            a = policy.select(s)
-            fb = sample_feedback(p08, s, a, feedback)
-            policy.update(s, a, fb.reward, fb.cost)
-            assert trace.task_types[i] == s
-            assert trace.arms[i] == a
-            assert trace.rewards[i] == fb.reward
-            assert trace.costs[i] == fb.cost
-            assert trace.thetas[i] == policy.theta
+        # Every kind, with and without noise, on an environment whose -0.0
+        # mean reward must reach the trace unchanged; a stride past the
+        # horizon logs the final round only.
+        horizon = 30
+        specs = (p08, two_type_env(sigma=0.0), SIGNED_ZERO)
+        kinds = (DOLRM, PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("oracle-rm"), REVERSE)
+        for spec in specs:
+            for kind in kinds:
+                for stride in (1, 4, horizon + 1):
+                    trace = run_episode(spec, kind, horizon, 21, stride=stride)
+                    expected = scalar_replay(spec, kind, horizon, 21, stride)
+                    for column, values in expected.items():
+                        # repr tells -0.0 from 0.0
+                        assert repr(getattr(trace, column)) == repr(values), (
+                            spec, kind, stride, column,
+                        )
+
+
+def scalar_replay(spec, kind, horizon, seed, stride):
+    """The trace columns of one episode, replayed one round at a time."""
+    arrival = stream_rng(seed, ARRIVAL_STREAM)
+    feedback = stream_rng(seed, FEEDBACK_STREAM)
+    policy_rng = stream_rng(seed, POLICY_STREAM)
+    if kind.kind == "ts":
+        policy = PerCallThompsonSampling(spec, policy_rng)
+    else:
+        policy = make_policy(kind, spec, horizon, "decaying", policy_rng)
+    columns = {
+        name: []
+        for name in (
+            "rounds", "task_types", "arms", "rewards", "costs",
+            "cum_rewards", "cum_costs", "ratios", "thetas",
+        )
+    }
+    cum_r = cum_c = 0.0
+    for t in range(1, horizon + 1):
+        s = sample_task(spec, arrival)
+        a = policy.select(s)
+        reward, cost = map(float, sample_feedback(spec, s, a, feedback))
+        policy.update(s, a, reward, cost)
+        cum_r += reward
+        cum_c += cost
+        if t % stride == 0 or t == horizon:
+            row = (t, s, a, reward, cost, cum_r, cum_c, cum_r / cum_c, policy.theta)
+            for values, value in zip(columns.values(), row):
+                values.append(value)
+    if policy.theta is None:
+        columns["thetas"] = None
+    return columns
 
 
 class TestCountBookkeeping:

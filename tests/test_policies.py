@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dolrm.env import EnvironmentSpec, derived_bounds
 from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
+from dolrm.harness import POLICY_STREAM, stream_rng
 from dolrm.oracle import best_response
 from dolrm.policies import (
     LEARNING_RATE_MODES,
@@ -24,7 +25,7 @@ from dolrm.policies import (
     validate_policy_map,
 )
 
-from support import StubRng, two_type_env
+from support import PerCallThompsonSampling, StubRng, two_type_env
 
 # exact dyadic floats make argmax comparisons immune to rounding
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: k / 4.0)
@@ -37,6 +38,17 @@ random_specs = st.builds(
     lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
     st.lists(
         st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=5),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([0.0, 1.0]),
+)
+# The same cells on up to 32 arms per type, for the policies whose per-decision
+# work and randomness grow with the number of arms.
+wide_specs = st.builds(
+    lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
+    st.lists(
+        st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=32),
         min_size=1,
         max_size=4,
     ),
@@ -57,6 +69,9 @@ def ts_policy(stats, rng):
     policy = ThompsonSamplingPolicy(two_type_env(), np.random.default_rng(0))
     policy.stats = stats
     policy.rng = rng
+    # refill exactly the 2k normals each decision reads, so a stub queue of
+    # 2k values per decision suffices
+    policy.chunk = 0
     return policy
 
 
@@ -369,6 +384,37 @@ class TestThompsonSampling:
         policy.update(1, 0, 2.5, 1.5)
         assert policy.stats.mean_rewards[1][0] == 2.5
         assert policy.stats.mean_costs[1][0] == 1.5
+
+    @property_run
+    @given(
+        spec=wide_specs,
+        horizon=st.integers(min_value=1, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunk=st.sampled_from([0, 1, 7, 64, ThompsonSamplingPolicy.chunk]),
+    )
+    @example(
+        spec=EnvironmentSpec((1.0,), (((1.0, 1.0),),), 0.0), horizon=1, seed=0, chunk=0
+    ).via("singleton type, horizon 1")
+    @example(
+        spec=EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 0.5),) * 32), 0.0),
+        horizon=300,
+        seed=1,
+        chunk=ThompsonSamplingPolicy.chunk,
+    ).via("32 tied arms beside a singleton type, sigma 0")
+    def test_chunked_draws_match_per_call_reference(self, spec, horizon, seed, chunk):
+        policy = ThompsonSamplingPolicy(spec, stream_rng(seed, POLICY_STREAM))
+        policy.chunk = chunk
+        reference = PerCallThompsonSampling(spec, stream_rng(seed, POLICY_STREAM))
+        rng = np.random.default_rng(seed)
+        for _ in range(horizon):
+            s = int(rng.integers(spec.num_types))
+            a = policy.select(s)
+            assert a == reference.select(s)
+            r, c = spec.arms[s][a]
+            reward = r + spec.noise_sigma * rng.standard_normal()
+            cost = c + spec.noise_sigma * rng.standard_normal()
+            policy.update(s, a, reward, cost)
+            reference.update(s, a, reward, cost)
 
 
 class TestOracleRm:

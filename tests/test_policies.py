@@ -34,26 +34,23 @@ dyadic_positive = st.integers(min_value=1, max_value=64).map(lambda k: k / 4.0)
 # Small positive means, so duplicate arms (exact ties) are common; equal
 # arrival probabilities, since the property tests draw task types themselves.
 cell_mean = st.integers(min_value=1, max_value=12).map(lambda k: k / 4.0)
-random_specs = st.builds(
-    lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
-    st.lists(
-        st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=5),
-        min_size=1,
-        max_size=4,
-    ),
-    st.sampled_from([0.0, 1.0]),
-)
-# The same cells on up to 32 arms per type, for the policies whose per-decision
-# work and randomness grow with the number of arms.
-wide_specs = st.builds(
-    lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
-    st.lists(
-        st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=32),
-        min_size=1,
-        max_size=4,
-    ),
-    st.sampled_from([0.0, 1.0]),
-)
+
+
+def specs(max_arms):
+    return st.builds(
+        lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
+        st.lists(
+            st.lists(st.tuples(cell_mean, cell_mean), min_size=1, max_size=max_arms),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.0, 1.0]),
+    )
+
+
+random_specs = specs(5)
+# Thompson sampling's per-decision work and draws grow with the arm count.
+wide_specs = specs(32)
 property_run = settings(deadline=None)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, TypeVar
 
-from .env import DEFAULT_COST_FLOOR, DEFAULT_NOISE_SIGMA, EnvironmentSpec, validate_env
-from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, PolicyMap, validate_policy_map
+from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec, validate_env
+from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, validate_policy_map
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_SEED_BASE = 0
@@ -119,7 +119,10 @@ def _at_least(value: int, minimum: int, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "integer too large for a float")
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -175,10 +178,9 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
                 "noise_sigma",
                 f"conflicts with environment.noise_sigma ({sigma:g} vs {env_sigma:g})",
             )
-    floor = _as_number(env.get("cost_floor", DEFAULT_COST_FLOOR), "environment.cost_floor")
-    _reject_unknown(env, {"arrival_probs", "arms", "noise_sigma", "cost_floor"}, "environment.")
+    _reject_unknown(env, {"arrival_probs", "arms", "noise_sigma"}, "environment.")
 
-    spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma, floor)
+    spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma)
     try:
         validate_env(spec)
     except ValueError as err:
@@ -261,7 +263,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON ({err})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -291,7 +294,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     for kind in policies:
         if kind.kind == "fixed":
             try:
-                validate_policy_map(environment, PolicyMap(kind.actions))
+                validate_policy_map(environment, kind.actions)
             except ValueError as err:
                 raise ConfigError(f"policies: fixed policy {kind.name!r}: {err}") from None
 
@@ -324,7 +327,6 @@ def config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
             "arrival_probs": list(env.arrival_probs),
             "arms": [[list(pair) for pair in arms_s] for arms_s in env.arms],
             "noise_sigma": env.noise_sigma,
-            "cost_floor": env.cost_floor,
         },
         "environment_name": cfg.environment_name,
         "policies": [policy_kind_echo(k) for k in cfg.policies],

@@ -2,7 +2,8 @@
 
 An environment is a finite set of task types with known arrival
 probabilities; each type carries its own finite set of arms (decisions),
-and every arm has a mean reward and a strictly positive mean cost.
+and every arm has a non-negative mean reward and a strictly positive mean
+cost.
 Observations are the means corrupted by additive Gaussian noise.
 """
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_NOISE_SIGMA = 1.0
-DEFAULT_COST_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,11 @@ class EnvironmentSpec:
         arms: per type, a non-empty tuple of (mean_reward, mean_cost) pairs.
         noise_sigma: standard deviation of the additive Gaussian noise
             applied to both reward and cost samples.
-        cost_floor: small positive constant guarding denominators wherever a
-            noisy cost sample is divided by (see the ratio-signal baseline).
     """
 
     arrival_probs: tuple[float, ...]
     arms: tuple[tuple[tuple[float, float], ...], ...]
     noise_sigma: float = DEFAULT_NOISE_SIGMA
-    cost_floor: float = DEFAULT_COST_FLOOR
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -94,16 +91,18 @@ def validate_env(spec: EnvironmentSpec) -> EnvironmentSpec:
         if len(arms_s) == 0:
             raise ValueError(f"arms[{s}] must contain at least one arm")
         for a, (r, c) in enumerate(arms_s):
-            if not math.isfinite(r):
-                raise ValueError(f"arms[{s}][{a}]: mean_reward must be finite")
+            # theta_min = r_min / c_max bounds every map's ratio from below
+            # only for rewards >= 0; -0.0 passes
+            if not math.isfinite(r) or r < 0.0:
+                raise ValueError(
+                    f"arms[{s}][{a}]: mean_reward must be finite and >= 0 (got {r:g})"
+                )
             if not math.isfinite(c) or c <= 0.0:
                 raise ValueError(
                     f"arms[{s}][{a}]: mean_cost must be positive (got {c:g})"
                 )
     if not math.isfinite(spec.noise_sigma) or spec.noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be >= 0 (got {spec.noise_sigma!r})")
-    if not math.isfinite(spec.cost_floor) or spec.cost_floor <= 0.0:
-        raise ValueError(f"cost_floor must be positive (got {spec.cost_floor!r})")
     return spec
 
 

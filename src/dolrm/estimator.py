@@ -1,14 +1,7 @@
-"""Per-(type, arm) statistics and truncated optimistic estimators.
-
-The reward estimator is an upper confidence bound truncated at the largest
-mean reward in the system, the cost estimator a lower confidence bound
-truncated at the smallest mean cost. Both use the bonus sqrt(log T / N)
-with the fixed, known horizon T.
-"""
+"""Per-(type, arm) pull counts and running reward/cost means."""
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .env import EnvironmentSpec
@@ -42,29 +35,3 @@ class ArmStatistics:
         self.mean_costs[s][a] = (self.mean_costs[s][a] * n + cost) / n1
         self.counts[s][a] = n1
 
-
-def ucb_reward(stats: ArmStatistics, s: int, a: int, horizon: int, r_max: float) -> float:
-    """Optimistic reward estimate min(r_max, mean + sqrt(log T / N)), T = horizon.
-
-    An unpulled cell returns the maximally optimistic sentinel r_max; forced
-    exploration keeps that sentinel out of real decisions.
-    """
-    if s < 0 or a < 0:
-        raise IndexError(f"negative cell index ({s}, {a})")
-    n = stats.counts[s][a]
-    if n == 0:
-        return r_max
-    return min(r_max, stats.mean_rewards[s][a] + math.sqrt(math.log(horizon) / n))
-
-
-def lcb_cost(stats: ArmStatistics, s: int, a: int, horizon: int, c_min: float) -> float:
-    """Pessimistic cost estimate max(c_min, mean - sqrt(log T / N)), T = horizon.
-
-    An unpulled cell returns the sentinel c_min.
-    """
-    if s < 0 or a < 0:
-        raise IndexError(f"negative cell index ({s}, {a})")
-    n = stats.counts[s][a]
-    if n == 0:
-        return c_min
-    return max(c_min, stats.mean_costs[s][a] - math.sqrt(math.log(horizon) / n))

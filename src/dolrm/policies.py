@@ -30,28 +30,16 @@ POLICY_KINDS = ("dolrm", "fixed", "ucb", "ts", "oracle-rm")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-@dataclass(frozen=True)
-class PolicyMap:
-    """Deterministic stationary policy: one arm index per task type."""
-
-    actions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
-
-
-def validate_policy_map(spec: EnvironmentSpec, pmap: PolicyMap) -> PolicyMap:
-    if len(pmap.actions) != spec.num_types:
-        raise ValueError(
-            f"policy map has {len(pmap.actions)} actions for {spec.num_types} types"
-        )
-    for s, a in enumerate(pmap.actions):
+def validate_policy_map(spec: EnvironmentSpec, actions: tuple[int, ...]) -> None:
+    """Check that a fixed map names one existing arm per task type."""
+    if len(actions) != spec.num_types:
+        raise ValueError(f"policy map has {len(actions)} actions for {spec.num_types} types")
+    for s, a in enumerate(actions):
         if not 0 <= a < len(spec.arms[s]):
             raise ValueError(
                 f"actions[{s}] = {a} out of range for type {s} "
                 f"with {len(spec.arms[s])} arms"
             )
-    return pmap
 
 
 def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
@@ -69,23 +57,6 @@ def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
     if mode == "decaying":
         return 1.0 / (c_min * (t + 1))
     return 1.0 / (c_min * math.sqrt(horizon))
-
-
-def ratio_step(
-    theta: float,
-    eta: float,
-    r_hat: float,
-    c_check: float,
-    theta_min: float,
-    theta_max: float,
-) -> float:
-    """One projected stochastic-approximation step toward the root of r - theta*c."""
-    nxt = theta + eta * (r_hat - theta * c_check)
-    if nxt < theta_min:
-        return theta_min
-    if nxt > theta_max:
-        return theta_max
-    return nxt
 
 
 def greedy_arm(rewards: Sequence[float], costs: Sequence[float], theta: float) -> int:
@@ -174,10 +145,12 @@ class DolRmPolicy(_RatioIterate):
     """Double-optimistic ratio learner.
 
     Each round it scores every arm of the arriving type with an optimistic
-    reward UCB minus theta times a pessimistic cost LCB and plays the best
-    score. On feedback it moves theta with the estimates that decision
-    consumed (the r_max / c_min sentinels during forced exploration), and
-    only then folds the new observation into the empirical means.
+    reward UCB min(r_max, mean + sqrt(log T / N)) minus theta times a
+    pessimistic cost LCB max(c_min, mean - sqrt(log T / N)), T the horizon,
+    and plays the best score. On feedback it moves theta with the estimates
+    that decision consumed (the r_max / c_min sentinels during forced
+    exploration), and only then folds the new observation into the
+    empirical means.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
@@ -232,11 +205,12 @@ class FixedMapPolicy:
 
     theta = None
 
-    def __init__(self, spec: EnvironmentSpec, pmap: PolicyMap):
-        self.map = validate_policy_map(spec, pmap)
+    def __init__(self, spec: EnvironmentSpec, actions: tuple[int, ...]):
+        validate_policy_map(spec, actions)
+        self.actions = actions
 
     def select(self, s: int) -> int:
-        actions = self.map.actions
+        actions = self.actions
         if not 0 <= s < len(actions):
             raise IndexError(f"task type {s} out of range for map of {len(actions)} types")
         return actions[s]
@@ -255,10 +229,11 @@ class ClassicUcbPolicy:
     """
 
     theta = None
+    # Replaces any sampled cost at or below it in the ratio signal.
+    cost_floor = 1e-6
 
     def __init__(self, spec: EnvironmentSpec):
         self.stats = ArmStatistics.for_spec(spec)
-        self.cost_floor = spec.cost_floor
         self.round = 1
 
     def select(self, s: int) -> int:
@@ -385,7 +360,7 @@ def make_policy(
     if kind.kind == "dolrm":
         return DolRmPolicy(spec, horizon, lr_mode)
     if kind.kind == "fixed":
-        return FixedMapPolicy(spec, PolicyMap(kind.actions))
+        return FixedMapPolicy(spec, kind.actions)
     if kind.kind == "ucb":
         return ClassicUcbPolicy(spec)
     if kind.kind == "ts":

@@ -26,7 +26,6 @@ from typing import Any, Optional
 from .config import ExperimentConfig, config_echo
 from .harness import EpisodeTrace, ReplicationSummary, fit_loglog_slope, run_episode, summarize_finals
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
-from .policies import PolicyMap
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
 
@@ -134,7 +133,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     oracle = dinkelbach_theta_star(cfg.environment)
     optimum = {"theta_star": oracle.theta_star, "optimal_actions": list(oracle.policy.actions)}
     fixed_ratios = {
-        kind.name: expected_ratio(cfg.environment, PolicyMap(kind.actions))
+        kind.name: expected_ratio(cfg.environment, kind.actions)
         for kind in cfg.policies
         if kind.kind == "fixed"
     }

@@ -1,5 +1,7 @@
-"""Shared test helpers: the reference environments, the scalar samplers and
-the per-call Thompson-sampling reference.
+"""Shared test helpers: the reference environments, the scalar samplers, the
+readable references that the fast paths in ``dolrm`` are pinned against
+(confidence bounds, the projected ratio step, brute-force enumeration of
+the oracle and per-call Thompson sampling) and a stub generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -7,13 +9,16 @@ their own module, not in ``conftest.py``: ``perfbench/tests`` has a
 a run that collects both suites the one collected first is shadowed.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from dolrm.env import EnvironmentSpec
-from dolrm.policies import ThompsonSamplingPolicy
+from dolrm.estimator import ArmStatistics
+from dolrm.oracle import OracleResult
+from dolrm.policies import PolicyKind, ThompsonSamplingPolicy
 
 TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
 
@@ -80,6 +85,87 @@ def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
         return Feedback(r, c)
     g = rng.standard_normal(2)
     return Feedback(r + sigma * g[0], c + sigma * g[1])
+
+
+def ucb_reward(stats: ArmStatistics, s: int, a: int, horizon: int, r_max: float) -> float:
+    """Optimistic reward estimate min(r_max, mean + sqrt(log T / N)), T = horizon.
+
+    An unpulled cell returns the maximally optimistic sentinel r_max; forced
+    exploration keeps that sentinel out of real decisions.
+    """
+    if s < 0 or a < 0:
+        raise IndexError(f"negative cell index ({s}, {a})")
+    n = stats.counts[s][a]
+    if n == 0:
+        return r_max
+    return min(r_max, stats.mean_rewards[s][a] + math.sqrt(math.log(horizon) / n))
+
+
+def lcb_cost(stats: ArmStatistics, s: int, a: int, horizon: int, c_min: float) -> float:
+    """Pessimistic cost estimate max(c_min, mean - sqrt(log T / N)), T = horizon.
+
+    An unpulled cell returns the sentinel c_min.
+    """
+    if s < 0 or a < 0:
+        raise IndexError(f"negative cell index ({s}, {a})")
+    n = stats.counts[s][a]
+    if n == 0:
+        return c_min
+    return max(c_min, stats.mean_costs[s][a] - math.sqrt(math.log(horizon) / n))
+
+
+def ratio_step(
+    theta: float,
+    eta: float,
+    r_hat: float,
+    c_check: float,
+    theta_min: float,
+    theta_max: float,
+) -> float:
+    """One projected stochastic-approximation step toward the root of r - theta*c."""
+    nxt = theta + eta * (r_hat - theta * c_check)
+    if nxt < theta_min:
+        return theta_min
+    if nxt > theta_max:
+        return theta_max
+    return nxt
+
+
+# The most maps brute_force_theta_star will enumerate.
+MAX_ENUMERATION = 10**6
+
+
+def brute_force_theta_star(spec: EnvironmentSpec) -> OracleResult:
+    """Exhaustive maximum of the expected ratio over every deterministic map.
+
+    Independent of the fixed-point solver on purpose: it exists to
+    cross-validate it. Enumeration order is lexicographic in arm indices, so
+    the first maximum seen is also the lowest-index tie-break.
+    ``iterations`` counts the maps enumerated.
+    """
+    n_maps = 1
+    for arms_s in spec.arms:
+        n_maps *= len(arms_s)
+    if n_maps > MAX_ENUMERATION:
+        raise ValueError(f"{n_maps} policy maps exceed the enumeration guard of {MAX_ENUMERATION}")
+    probs = spec.arrival_probs
+    arms = spec.arms
+    n_types = len(probs)
+    best_ratio = -math.inf
+    best_actions: tuple[int, ...] = ()
+    for actions in itertools.product(*(range(len(arms_s)) for arms_s in arms)):
+        num = 0.0
+        den = 0.0
+        for s in range(n_types):
+            r, c = arms[s][actions[s]]
+            p = probs[s]
+            num += p * r
+            den += p * c
+        ratio = num / den
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_actions = actions
+    return OracleResult(best_ratio, PolicyKind("fixed", best_actions), n_maps)
 
 
 class PerCallThompsonSampling(ThompsonSamplingPolicy):

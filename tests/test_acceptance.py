@@ -16,19 +16,25 @@ import pytest
 
 from dolrm.env import derived_bounds
 from dolrm.harness import ARRIVAL_STREAM, POLICY_STREAM, stream_rng
-from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
-from dolrm.oracle import brute_force_theta_star, dinkelbach_theta_star, expected_ratio
+from dolrm.estimator import ArmStatistics
+from dolrm.oracle import dinkelbach_theta_star, expected_ratio
 from dolrm.policies import (
     ClassicUcbPolicy,
     DolRmPolicy,
     OracleRmPolicy,
     PolicyKind,
-    PolicyMap,
     ThompsonSamplingPolicy,
 )
 from dolrm.runner import run_experiment
 
-from support import sample_task, seven_type_env, two_type_env
+from support import (
+    brute_force_theta_star,
+    lcb_cost,
+    sample_task,
+    seven_type_env,
+    two_type_env,
+    ucb_reward,
+)
 from test_cli import tiny_config
 from test_oracle import random_spec
 
@@ -107,8 +113,8 @@ def seven_type_run(tmp_path_factory):
 
 
 def test_acceptance_1_fixed_map_ratios_exact(criterion, p08_spec):
-    greedy = expected_ratio(p08_spec, PolicyMap((0, 0)))
-    reverse = expected_ratio(p08_spec, PolicyMap((0, 1)))
+    greedy = expected_ratio(p08_spec, (0, 0))
+    reverse = expected_ratio(p08_spec, (0, 1))
     passed = abs(greedy - 2.5) <= 1e-12 and abs(reverse - 2.6) <= 1e-12
     criterion(1, "fixed-map expected ratios exact", passed,
             f"greedy={greedy!r} reverse={reverse!r}")

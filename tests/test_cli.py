@@ -1,10 +1,13 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dolrm
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
 from dolrm.harness import run_episode
@@ -178,12 +181,22 @@ class TestRunExperiment:
         assert "dolrm" in doc["gap_slopes"]
 
 
+# The child interpreter imports the same dolrm as this one, installed or not.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(dolrm.__file__).parent.parent), os.environ.get("PYTHONPATH")))
+    ),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "dolrm", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=CLI_ENV,
     )
 
 
@@ -259,6 +272,22 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "unknown preset" in proc.stderr
+
+    def test_oversized_integer_exits_nonzero_with_diagnostic(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": {"arrival_probs": [1.0], "arms": [[[10**400, 1]]]},
+                    "policies": [{"kind": "dolrm"}],
+                    "horizon": 10,
+                }
+            )
+        )
+        proc = run_cli("oracle", str(config))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: environment.arms[0][0][0]:")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("oracle", str(tmp_path / "absent.json"))

@@ -132,6 +132,20 @@ class TestEnvironmentBlock:
                 environment={"arrival_probs": [1.0], "arms": [[[1, 1], [2]]]},
             )
 
+    def test_negative_mean_reward_names_the_cell(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"environment: arms\[0\]\[1\]: mean_reward"):
+            parse(
+                tmp_path,
+                environment={"arrival_probs": [1.0], "arms": [[[1, 1], [-0.5, 1]]]},
+            )
+
+    def test_cost_floor_is_an_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"environment\.cost_floor: unknown key"):
+            parse(
+                tmp_path,
+                environment={"arrival_probs": [1.0], "arms": [[[1, 1]]], "cost_floor": 1e-6},
+            )
+
     def test_unknown_environment_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"environment\.decay"):
             parse(
@@ -236,6 +250,9 @@ class TestFileHandling:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(path)
+        path.write_text('{"horizon": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigError, match=r"bad\.json: not valid JSON \(Exceeds the limit"):
+            parse_config(path)
 
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
@@ -250,7 +267,7 @@ class TestFileHandling:
 def test_resolved_echo_round_trips(tmp_path):
     cfg = ExperimentConfig(
         environment=EnvironmentSpec(
-            (0.25, 0.75), (((2.0, 1.0), (3.0, 2.0)), ((1.5, 0.5),)), 0.5, 1e-6
+            (0.25, 0.75), (((2.0, 1.0), (3.0, 2.0)), ((1.5, 0.5),)), 0.5
         ),
         environment_name="custom",
         policies=(

@@ -53,9 +53,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="noise_sigma"):
             validate_env(spec)
 
-    def test_rejects_non_positive_cost_floor(self):
-        spec = EnvironmentSpec((1.0,), (((1.0, 1.0),),), cost_floor=0.0)
-        with pytest.raises(ValueError, match="cost_floor"):
+    def test_rejects_negative_mean_reward_at_named_cell(self):
+        # theta_min = -6 / 4 would exceed theta_max = -4 / 0.5 here, and the
+        # learner's theta would sit at theta_min for the whole run
+        spec = EnvironmentSpec((0.5, 0.5), (((-4, 0.5), (-6, 4)), ((-4, 4),)), 0)
+        with pytest.raises(ValueError, match=r"arms\[0\]\[0\]: mean_reward must be finite and >= 0"):
             validate_env(spec)
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
+from dolrm.estimator import ArmStatistics
+
+from support import lcb_cost, ucb_reward
 
 # every bound below uses horizon 100, r_max 3.0 and c_min 1.0
 T, R_MAX, C_MIN = 100, 3.0, 1.0

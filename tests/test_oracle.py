@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
-from dolrm.oracle import (
-    best_response,
-    brute_force_theta_star,
-    dinkelbach_theta_star,
-    expected_ratio,
-)
-from dolrm.policies import PolicyMap
+from dolrm.oracle import best_response, dinkelbach_theta_star, expected_ratio
 
-from support import seven_type_env, two_type_env
+from support import brute_force_theta_star, seven_type_env, two_type_env
 
-GREEDY = PolicyMap((0, 0))
-REVERSE = PolicyMap((0, 1))
+GREEDY = (0, 0)
+REVERSE = (0, 1)
 
 
 def random_spec(rng):
@@ -36,10 +30,15 @@ def random_spec(rng):
 
 
 def all_maps(spec):
-    return [
-        PolicyMap(actions)
-        for actions in itertools.product(*(range(len(arms_s)) for arms_s in spec.arms))
-    ]
+    return list(itertools.product(*(range(len(arms_s)) for arms_s in spec.arms)))
+
+
+def replayed_iterates(spec, result):
+    """theta_min and the result.iterations iterates that follow it."""
+    thetas = [derived_bounds(spec).theta_min]
+    for _ in range(result.iterations):
+        thetas.append(expected_ratio(spec, best_response(spec, thetas[-1])))
+    return thetas
 
 
 class TestExpectedRatio:
@@ -57,14 +56,14 @@ class TestExpectedRatio:
 
 class TestBestResponse:
     def test_low_price_prefers_rich_arm(self, p08):
-        assert best_response(p08, 0.5).actions == (0, 0)
+        assert best_response(p08, 0.5) == (0, 0)
 
     def test_high_price_prefers_cheap_arm(self, p08):
-        assert best_response(p08, 2.5).actions == (0, 1)
+        assert best_response(p08, 2.5) == (0, 1)
 
     def test_singleton_types_are_forced(self):
         spec = EnvironmentSpec((0.5, 0.5), (((2.0, 1.0),), ((4.0, 2.0),)))
-        assert best_response(spec, 123.0).actions == (0, 0)
+        assert best_response(spec, 123.0) == (0, 0)
 
 
 class TestDinkelbach:
@@ -73,9 +72,10 @@ class TestDinkelbach:
         assert result.theta_star == pytest.approx(2.6, abs=1e-12)
         assert result.policy.actions == (0, 1)
         assert result.iterations == 3
-        assert len(result.trace) == 4
-        for got, want in zip(result.trace, (0.5, 2.5, 2.6, 2.6)):
+        iterates = replayed_iterates(p08, result)
+        for got, want in zip(iterates, (0.5, 2.5, 2.6, 2.6), strict=True):
             assert got == pytest.approx(want, abs=1e-12)
+        assert iterates[-1] == result.theta_star
 
     def test_flipped_distribution_prefers_greedy(self):
         result = dinkelbach_theta_star(two_type_env(p0=0.2))
@@ -92,14 +92,16 @@ class TestDinkelbach:
 
     def test_fixed_point_property(self, p08):
         result = dinkelbach_theta_star(p08)
-        assert expected_ratio(p08, result.policy) == pytest.approx(
+        assert expected_ratio(p08, result.policy.actions) == pytest.approx(
             result.theta_star, abs=1e-12
         )
 
     def test_result_within_ratio_bounds(self, p08):
-        b = derived_bounds(p08)
-        theta = dinkelbach_theta_star(p08).theta_star
-        assert b.theta_min <= theta <= b.theta_max
+        rng = np.random.default_rng(31)
+        for spec in [p08] + [random_spec(rng) for _ in range(50)]:
+            b = derived_bounds(spec)
+            theta = dinkelbach_theta_star(spec).theta_star
+            assert b.theta_min <= theta <= b.theta_max
 
 
 class TestBruteForce:
@@ -134,8 +136,8 @@ class TestRandomSpecAgreement:
             dk = dinkelbach_theta_star(spec)
             bf = brute_force_theta_star(spec)
             assert dk.theta_star == pytest.approx(bf.theta_star, abs=1e-9)
-            assert expected_ratio(spec, dk.policy) == pytest.approx(
-                expected_ratio(spec, bf.policy), abs=1e-9
+            assert expected_ratio(spec, dk.policy.actions) == pytest.approx(
+                expected_ratio(spec, bf.policy.actions), abs=1e-9
             )
         assert time.perf_counter() - start < 5.0
 
@@ -144,7 +146,8 @@ class TestRandomSpecAgreement:
         for _ in range(50):
             spec = random_spec(rng)
             result = dinkelbach_theta_star(spec)
-            trace = result.trace
+            trace = replayed_iterates(spec, result)
+            assert trace[-1] == result.theta_star
             assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
             improvements = sum(1 for a, b in zip(trace, trace[1:]) if b > a + 1e-15)
             assert improvements <= math.prod(len(arms_s) for arms_s in spec.arms)
@@ -154,8 +157,8 @@ class TestRandomSpecAgreement:
         for _ in range(50):
             spec = random_spec(rng)
             theta_star = dinkelbach_theta_star(spec).theta_star
-            for pmap in all_maps(spec):
-                assert theta_star >= expected_ratio(spec, pmap) - 1e-12
+            for actions in all_maps(spec):
+                assert theta_star >= expected_ratio(spec, actions) - 1e-12
 
     def test_reward_scaling_covariance(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dolrm.env import EnvironmentSpec, derived_bounds
-from dolrm.estimator import ArmStatistics, lcb_cost, ucb_reward
+from dolrm.estimator import ArmStatistics
 from dolrm.harness import POLICY_STREAM, stream_rng
 from dolrm.oracle import best_response
 from dolrm.policies import (
@@ -16,16 +16,21 @@ from dolrm.policies import (
     FixedMapPolicy,
     OracleRmPolicy,
     PolicyKind,
-    PolicyMap,
     ThompsonSamplingPolicy,
     greedy_arm,
     learning_rate,
     make_policy,
-    ratio_step,
     validate_policy_map,
 )
 
-from support import PerCallThompsonSampling, StubRng, two_type_env
+from support import (
+    PerCallThompsonSampling,
+    StubRng,
+    lcb_cost,
+    ratio_step,
+    two_type_env,
+    ucb_reward,
+)
 
 # exact dyadic floats make argmax comparisons immune to rounding
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: k / 4.0)
@@ -134,19 +139,18 @@ class TestGreedyArm:
 
 class TestPolicyMap:
     def test_validates_against_environment(self, p08):
-        pmap = PolicyMap((0, 1))
-        assert validate_policy_map(p08, pmap) is pmap
+        assert validate_policy_map(p08, (0, 1)) is None
 
     def test_rejects_wrong_length(self, p08):
         with pytest.raises(ValueError, match="1 actions for 2 types"):
-            validate_policy_map(p08, PolicyMap((0,)))
+            validate_policy_map(p08, (0,))
 
     def test_rejects_out_of_range_arm(self, p08):
         with pytest.raises(ValueError, match=r"actions\[0\] = 1"):
-            validate_policy_map(p08, PolicyMap((1, 0)))
+            validate_policy_map(p08, (1, 0))
 
     def test_fixed_select(self, p08):
-        policy = FixedMapPolicy(p08, PolicyMap((0, 1)))
+        policy = FixedMapPolicy(p08, (0, 1))
         assert policy.select(0) == 0
         assert policy.select(1) == 1
         with pytest.raises(IndexError):
@@ -274,7 +278,7 @@ class TestDolRmPolicy:
 
 class TestFixedMapPolicy:
     def test_plays_its_map_and_ignores_feedback(self, p08):
-        policy = FixedMapPolicy(p08, PolicyMap((0, 1)))
+        policy = FixedMapPolicy(p08, (0, 1))
         assert policy.theta is None
         assert policy.select(1) == 1
         policy.update(1, 1, 5.0, 5.0)
@@ -282,7 +286,7 @@ class TestFixedMapPolicy:
 
     def test_rejects_invalid_map(self, p08):
         with pytest.raises(ValueError):
-            FixedMapPolicy(p08, PolicyMap((0, 5)))
+            FixedMapPolicy(p08, (0, 5))
 
 
 class TestUcbBaseline:
@@ -323,7 +327,7 @@ class TestUcbBaseline:
         assert policy.stats.mean_costs[1][0] == 2.0
         # non-positive sampled cost falls back to the floor denominator
         policy.update(1, 1, reward=1.0, cost=-0.5)
-        assert policy.stats.mean_rewards[1][1] == 1.0 / p08.cost_floor
+        assert policy.stats.mean_rewards[1][1] == 1.0 / ClassicUcbPolicy.cost_floor
         assert policy.stats.mean_costs[1][1] == -0.5
         assert policy.round == 3
 
@@ -426,7 +430,7 @@ class TestOracleRm:
         policy = OracleRmPolicy(p08, horizon=100)
         for theta in (0.5, 1.0, 2.0, 2.6, 3.0):
             policy.theta = theta
-            expected = best_response(p08, theta).actions
+            expected = best_response(p08, theta)
             assert tuple(policy.select(s) for s in range(2)) == expected
 
     def test_update_ignores_sampled_feedback(self, p08):

@@ -5,14 +5,16 @@ probabilities; each type carries its own finite set of arms (decisions),
 and every arm has a non-negative mean reward and a strictly positive mean
 cost.
 Observations are the means corrupted by additive Gaussian noise.
+
+This module is the model alone: the spec, its validation and its derived
+bounds. It draws nothing and imports no numpy; the seeded arrival and
+noise draws live in ``harness``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 DEFAULT_NOISE_SIGMA = 1.0
 
@@ -101,6 +103,15 @@ def validate_env(spec: EnvironmentSpec) -> EnvironmentSpec:
                 raise ValueError(
                     f"arms[{s}][{a}]: mean_cost must be positive (got {c:g})"
                 )
+    # 1 / c_min scales the ratio steps and r_max / c_min tops the ratio
+    # interval; past float range theta turns NaN or the oracle never settles
+    b = derived_bounds(spec)
+    if not math.isfinite(max(b.r_max, 1.0) / b.c_min):
+        cells = ((s, a, c) for s, arms_s in enumerate(spec.arms) for a, (_, c) in enumerate(arms_s))
+        s, a = next((s, a) for s, a, c in cells if c == b.c_min)
+        raise ValueError(
+            f"arms[{s}][{a}]: mean_cost {b.c_min!r} is too small (1 / c_min and r_max / c_min must be finite)"
+        )
     if not math.isfinite(spec.noise_sigma) or spec.noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be >= 0 (got {spec.noise_sigma!r})")
     return spec
@@ -113,19 +124,3 @@ def derived_bounds(spec: EnvironmentSpec) -> DerivedBounds:
     r_min, r_max = min(rewards), max(rewards)
     c_min, c_max = min(costs), max(costs)
     return DerivedBounds(r_min, r_max, c_min, c_max, r_min / c_max, r_max / c_min)
-
-
-def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n task types by inverse CDF, one uniform per type in stream order.
-
-    Each type is the first index whose cumulative probability strictly
-    exceeds its uniform draw, which makes arrival sequences reproducible
-    across implementations sharing the uniform stream. Accumulated rounding
-    can leave the last cumulative below 1, so draws above it map to the
-    last type with positive probability.
-    """
-    last = max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
-    cum = np.cumsum(spec.arrival_probs)
-    draws = rng.random(n)
-    idx = np.searchsorted(cum, draws, side="right")
-    return np.minimum(idx, last).astype(np.int64)

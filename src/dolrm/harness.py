@@ -1,14 +1,19 @@
-"""Seeded episode runner, per-cell aggregation of final ratios, and the log-log slope fit."""
+"""One seeded episode: its three random streams, the decision loop and its trace.
+
+Each episode draws from three streams labeled by (seed, stream): task
+arrivals (``sample_tasks``), feedback noise and the policy's own draws. All
+three are derived here, so a config and a seed fix an episode.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .env import EnvironmentSpec, sample_tasks, validate_env
+from .env import EnvironmentSpec, validate_env
 from .policies import DEFAULT_LR_MODE, PolicyKind, make_policy
 
 # Stream labels for the per-episode RNG split. Keeping arrival, feedback and
@@ -25,6 +30,22 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be >= 0 (got {seed})")
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+
+
+def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n task types by inverse CDF, one uniform per type in stream order.
+
+    Each type is the first index whose cumulative probability strictly
+    exceeds its uniform draw, which makes arrival sequences reproducible
+    across implementations sharing the uniform stream. Accumulated rounding
+    can leave the last cumulative below 1, so draws above it map to the
+    last type with positive probability.
+    """
+    last = max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
+    cum = np.cumsum(spec.arrival_probs)
+    draws = rng.random(n)
+    idx = np.searchsorted(cum, draws, side="right")
+    return np.minimum(idx, last).astype(np.int64)
 
 
 def default_stride(horizon: int) -> int:
@@ -151,51 +172,3 @@ def run_episode(
         ratios=ratios,
         thetas=thetas,
     )
-
-
-@dataclass(frozen=True)
-class ReplicationSummary:
-    """Across-seed statistics of one (policy, horizon) cell.
-
-    The fields, in this order, are the cell's row in summary.json.
-    """
-
-    policy: str
-    horizon: int
-    num_seeds: int
-    mean_final_ratio: float
-    std_final_ratio: float
-    mean_gap: float
-    mean_regret: float
-    final_ratios: tuple[float, ...]
-
-
-def summarize_finals(
-    policy: str, horizon: int, final_ratios: Sequence[float], theta_star: float
-) -> ReplicationSummary:
-    """Aggregate per-seed final ratios against the oracle ratio.
-
-    Uses the population standard deviation so a single seed reports 0. The
-    mean of per-seed absolute gaps estimates the expected gap; regret is the
-    horizon times that mean.
-    """
-    ratios = np.asarray(final_ratios, dtype=float)
-    gaps = np.abs(theta_star - ratios)
-    mean_gap = float(gaps.mean())
-    return ReplicationSummary(
-        policy=policy,
-        horizon=horizon,
-        num_seeds=len(ratios),
-        mean_final_ratio=float(ratios.mean()),
-        std_final_ratio=float(ratios.std()),
-        mean_gap=mean_gap,
-        mean_regret=horizon * mean_gap,
-        final_ratios=tuple(float(x) for x in ratios),
-    )
-
-
-def fit_loglog_slope(horizons: Sequence[float], gaps: Sequence[float]) -> float:
-    """Least-squares slope of log(gap) against log(horizon)."""
-    x = np.log(np.asarray(horizons, dtype=float))
-    y = np.log(np.asarray(gaps, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .env import EnvironmentSpec, derived_bounds
 from .estimator import ArmStatistics
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LR_MODE = "decaying"
 LEARNING_RATE_MODES = (DEFAULT_LR_MODE, "fixed-sqrtT")

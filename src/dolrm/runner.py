@@ -1,5 +1,9 @@
 """Experiment runner: executes a resolved config and writes all outputs.
 
+Each (policy, horizon) cell's per-seed final ratios become one
+``ReplicationSummary`` row; grids of three or more horizons add a log-log
+gap slope per policy. This module alone knows every output format.
+
 Layout under the configured output directory:
 
     resolved_config.json   config echo (re-parseable)
@@ -21,10 +25,12 @@ import os
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from .config import ExperimentConfig, config_echo
-from .harness import EpisodeTrace, ReplicationSummary, fit_loglog_slope, run_episode, summarize_finals
+from .harness import EpisodeTrace, run_episode
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
@@ -57,6 +63,54 @@ def write_trace(path: Path, trace: EpisodeTrace) -> None:
         for t, s, a, r, c, cum_r, cum_c, ratio, theta in rows
     )
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+@dataclass(frozen=True)
+class ReplicationSummary:
+    """Across-seed statistics of one (policy, horizon) cell.
+
+    The fields, in this order, are the cell's row in summary.json.
+    """
+
+    policy: str
+    horizon: int
+    num_seeds: int
+    mean_final_ratio: float
+    std_final_ratio: float
+    mean_gap: float
+    mean_regret: float
+    final_ratios: tuple[float, ...]
+
+
+def summarize_finals(
+    policy: str, horizon: int, final_ratios: Sequence[float], theta_star: float
+) -> ReplicationSummary:
+    """Aggregate per-seed final ratios against the oracle ratio.
+
+    Uses the population standard deviation so a single seed reports 0. The
+    mean of per-seed absolute gaps estimates the expected gap; regret is the
+    horizon times that mean.
+    """
+    ratios = np.asarray(final_ratios, dtype=float)
+    gaps = np.abs(theta_star - ratios)
+    mean_gap = float(gaps.mean())
+    return ReplicationSummary(
+        policy=policy,
+        horizon=horizon,
+        num_seeds=len(ratios),
+        mean_final_ratio=float(ratios.mean()),
+        std_final_ratio=float(ratios.std()),
+        mean_gap=mean_gap,
+        mean_regret=horizon * mean_gap,
+        final_ratios=tuple(float(x) for x in ratios),
+    )
+
+
+def fit_loglog_slope(horizons: Sequence[float], gaps: Sequence[float]) -> float:
+    """Least-squares slope of log(gap) against log(horizon)."""
+    x = np.log(np.asarray(horizons, dtype=float))
+    y = np.log(np.asarray(gaps, dtype=float))
+    return float(np.polyfit(x, y, 1)[0])
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ class Feedback(NamedTuple):
 
 
 def sample_task(spec: EnvironmentSpec, rng) -> int:
-    """Scalar reference for dolrm.env.sample_tasks: one task type by inverse CDF.
+    """Scalar reference for dolrm.harness.sample_tasks: one task type by inverse CDF.
 
     Returns the first index whose cumulative probability strictly exceeds a
     single uniform draw.

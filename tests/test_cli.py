@@ -289,6 +289,24 @@ class TestCommandLine:
         assert proc.stderr.startswith("error: environment.arms[0][0][0]:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command,reward", [("run", 0), ("oracle", 1)])
+    def test_overflowing_cost_reciprocal_exits_nonzero_with_diagnostic(self, tmp_path, command, reward):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": {"arrival_probs": [1.0], "arms": [[[reward, 1e-320], [reward, 1]]], "noise_sigma": 0},
+                    "policies": [{"kind": "dolrm"}],
+                    "horizon": 10,
+                    "output_dir": str(tmp_path / "results"),
+                }
+            )
+        )
+        proc = run_cli(command, str(config))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: environment: arms[0][0]: mean_cost 1e-320 is too small")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("oracle", str(tmp_path / "absent.json"))
         assert proc.returncode == 1

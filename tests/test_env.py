@@ -1,13 +1,15 @@
 import math
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
-from dolrm.env import EnvironmentSpec, derived_bounds, sample_tasks, validate_env
+from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.harness import run_episode
 from dolrm.policies import PolicyKind
 
-from support import Feedback, StubRng, sample_feedback, sample_task, two_type_env
+from support import Feedback, StubRng, sample_feedback, two_type_env
+from test_cli import CLI_ENV
 
 
 class TestValidation:
@@ -60,6 +62,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"arms\[0\]\[0\]: mean_reward must be finite and >= 0"):
             validate_env(spec)
 
+    @pytest.mark.parametrize("reward", [0.0, 1.0])
+    def test_rejects_mean_cost_whose_reciprocal_overflows(self, reward):
+        # 1 / 1e-320 is inf: the learner's step size would be inf and theta
+        # NaN (reward 0), or theta_max inf and the oracle unbounded (reward 1)
+        spec = EnvironmentSpec((1.0,), (((reward, 1.0), (reward, 1e-320)),), 0)
+        with pytest.raises(ValueError, match=r"arms\[0\]\[1\]: mean_cost 1e-320 is too small"):
+            validate_env(spec)
+
+    def test_accepts_small_mean_cost_with_finite_bounds(self):
+        spec = EnvironmentSpec((1.0,), (((1.0, 1e-300), (1.0, 1.0)),), 0)
+        assert validate_env(spec) is spec
+
 
 class TestDerivedBounds:
     def test_two_type_extremes(self, p08):
@@ -76,57 +90,6 @@ class TestDerivedBounds:
         b = derived_bounds(EnvironmentSpec((1.0,), (((2.0, 1.0), (4.0, 2.0)),)))
         assert b.theta_min == 1.0
         assert b.theta_max == 4.0
-
-
-class TestArrivalSampling:
-    def test_inverse_cdf_convention(self, p08):
-        assert sample_task(p08, StubRng(uniforms=[0.50])) == 0
-        assert sample_task(p08, StubRng(uniforms=[0.95])) == 1
-
-    def test_draw_equal_to_cumulative_goes_right(self, p08):
-        # the convention is "first cumulative strictly exceeding the draw"
-        assert sample_task(p08, StubRng(uniforms=[0.8])) == 1
-
-    def test_point_mass(self):
-        spec = EnvironmentSpec((1.0,), (((1.0, 1.0),),))
-        assert sample_task(spec, StubRng(uniforms=[0.0])) == 0
-        assert sample_task(spec, StubRng(uniforms=[0.999])) == 0
-
-    def test_rounding_shortfall_falls_back_to_last_type(self):
-        third = 1.0 / 3.0
-        spec = EnvironmentSpec(
-            (third, third, third),
-            (((1.0, 1.0),), ((1.0, 1.0),), ((1.0, 1.0),)),
-        )
-        # cumulative float sum tops out just below 1; a draw above it must
-        # still land on a valid index
-        assert sample_task(spec, StubRng(uniforms=[0.9999999999999999])) == 2
-        assert sample_tasks(spec, 1, StubRng(uniforms=[0.9999999999999999])).tolist() == [2]
-
-    def test_rounding_shortfall_skips_zero_probability_types(self):
-        # valid (the sum is within 1e-12 of 1), and the cumulative tops out
-        # at 1 - 1e-13: a draw above it must not land on the type that
-        # never arrives
-        spec = validate_env(
-            EnvironmentSpec((0.5, 0.5 - 1e-13, 0.0), (((1.0, 1.0),),) * 3)
-        )
-        u = 0.99999999999999
-        assert sample_tasks(spec, 3, StubRng(uniforms=[u] * 3)).tolist() == [1, 1, 1]
-        assert sample_task(spec, StubRng(uniforms=[u])) == 1
-
-    def test_batch_matches_scalar_draws(self, p08):
-        n = 200
-        batch = sample_tasks(p08, n, np.random.default_rng(42))
-        rng = np.random.default_rng(42)
-        scalar = [sample_task(p08, rng) for _ in range(n)]
-        assert batch.tolist() == scalar
-
-    def test_empirical_frequencies(self, p08):
-        n = 1_000_000
-        draws = sample_tasks(p08, n, np.random.default_rng(7))
-        freq0 = float(np.mean(draws == 0))
-        assert abs(freq0 - 0.8) < 2e-3
-        assert abs((1.0 - freq0) - 0.2) < 2e-3
 
 
 class TestFeedbackSampling:
@@ -187,3 +150,17 @@ def test_bounds_are_finite_numbers(p08):
     b = derived_bounds(p08)
     assert math.isfinite(b.theta_min) and math.isfinite(b.theta_max)
     assert b.theta_min <= b.theta_max
+
+
+def test_model_modules_import_without_numpy():
+    # numpy is for the seeded draws and the summary statistics only; the
+    # model, the policies, the oracle and config parsing load without it
+    code = (
+        "import sys\n"
+        "import dolrm.env, dolrm.policies, dolrm.oracle, dolrm.config\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,18 +1,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dolrm.env import EnvironmentSpec, derived_bounds
+from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.harness import (
     ARRIVAL_STREAM,
     FEEDBACK_STREAM,
     POLICY_STREAM,
     default_stride,
-    fit_loglog_slope,
     run_episode,
+    sample_tasks,
     stream_rng,
-    summarize_finals,
 )
 from dolrm.policies import (
     ClassicUcbPolicy,
@@ -21,9 +21,9 @@ from dolrm.policies import (
     ThompsonSamplingPolicy,
     make_policy,
 )
-from dolrm.runner import run_experiment
+from dolrm.runner import fit_loglog_slope, run_experiment, summarize_finals
 
-from support import PerCallThompsonSampling, sample_feedback, sample_task, two_type_env
+from support import PerCallThompsonSampling, StubRng, sample_feedback, sample_task, two_type_env
 from test_cli import tiny_config
 
 SINGLETON = EnvironmentSpec((1.0,), (((2.0, 1.0),),), 0.0)
@@ -55,6 +55,57 @@ class TestStreams:
         assert default_stride(10) == 1
         assert default_stride(999) == 1
         assert default_stride(100_000) == 100
+
+
+class TestArrivalSampling:
+    def test_inverse_cdf_convention(self, p08):
+        assert sample_task(p08, StubRng(uniforms=[0.50])) == 0
+        assert sample_task(p08, StubRng(uniforms=[0.95])) == 1
+
+    def test_draw_equal_to_cumulative_goes_right(self, p08):
+        # the convention is "first cumulative strictly exceeding the draw"
+        assert sample_task(p08, StubRng(uniforms=[0.8])) == 1
+
+    def test_point_mass(self):
+        spec = EnvironmentSpec((1.0,), (((1.0, 1.0),),))
+        assert sample_task(spec, StubRng(uniforms=[0.0])) == 0
+        assert sample_task(spec, StubRng(uniforms=[0.999])) == 0
+
+    def test_rounding_shortfall_falls_back_to_last_type(self):
+        third = 1.0 / 3.0
+        spec = EnvironmentSpec(
+            (third, third, third),
+            (((1.0, 1.0),), ((1.0, 1.0),), ((1.0, 1.0),)),
+        )
+        # cumulative float sum tops out just below 1; a draw above it must
+        # still land on a valid index
+        assert sample_task(spec, StubRng(uniforms=[0.9999999999999999])) == 2
+        assert sample_tasks(spec, 1, StubRng(uniforms=[0.9999999999999999])).tolist() == [2]
+
+    def test_rounding_shortfall_skips_zero_probability_types(self):
+        # valid (the sum is within 1e-12 of 1), and the cumulative tops out
+        # at 1 - 1e-13: a draw above it must not land on the type that
+        # never arrives
+        spec = validate_env(
+            EnvironmentSpec((0.5, 0.5 - 1e-13, 0.0), (((1.0, 1.0),),) * 3)
+        )
+        u = 0.99999999999999
+        assert sample_tasks(spec, 3, StubRng(uniforms=[u] * 3)).tolist() == [1, 1, 1]
+        assert sample_task(spec, StubRng(uniforms=[u])) == 1
+
+    def test_batch_matches_scalar_draws(self, p08):
+        n = 200
+        batch = sample_tasks(p08, n, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        scalar = [sample_task(p08, rng) for _ in range(n)]
+        assert batch.tolist() == scalar
+
+    def test_empirical_frequencies(self, p08):
+        n = 1_000_000
+        draws = sample_tasks(p08, n, np.random.default_rng(7))
+        freq0 = float(np.mean(draws == 0))
+        assert abs(freq0 - 0.8) < 2e-3
+        assert abs((1.0 - freq0) - 0.2) < 2e-3
 
 
 class TestRunEpisode:

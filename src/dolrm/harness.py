@@ -55,29 +55,27 @@ def default_stride(horizon: int) -> int:
 
 @dataclass
 class EpisodeTrace:
-    """Column-wise log of one episode.
+    """Row-wise log of one episode.
 
-    Rows are kept every ``stride`` rounds and always for the final round, so
-    ``ratios[-1]`` is the episode's final cumulative reward-to-cost ratio.
-    ``thetas`` is None for policies without a ratio iterate.
+    Each row is ``(t, type, arm, reward, cost, cum_reward, cum_cost, ratio,
+    theta)`` for one logged round, the trace CSV's columns after run_id and
+    policy. Rows are kept every ``stride`` rounds and always for the final
+    round. ``theta`` is None for policies without a ratio iterate.
     """
 
     policy: str
     seed: int
     horizon: int
-    rounds: list[int]
-    task_types: list[int]
-    arms: list[int]
-    rewards: list[float]
-    costs: list[float]
-    cum_rewards: list[float]
-    cum_costs: list[float]
-    ratios: list[float]
-    thetas: Optional[list[float]]
+    rows: list[tuple[int, int, int, float, float, float, float, float, Optional[float]]]
+
+    @property
+    def rounds(self) -> list[int]:
+        return [row[0] for row in self.rows]
 
     @property
     def final_ratio(self) -> float:
-        return self.ratios[-1]
+        """The episode's final cumulative reward-to-cost ratio."""
+        return self.rows[-1][7]
 
 
 def run_episode(
@@ -123,17 +121,7 @@ def run_episode(
         reward_noise = cost_noise = repeat(-0.0)
     arms = spec.arms
 
-    track_theta = policy.theta is not None
-    rounds: list[int] = []
-    types_col: list[int] = []
-    arms_col: list[int] = []
-    rewards: list[float] = []
-    costs: list[float] = []
-    cum_rewards: list[float] = []
-    cum_costs: list[float] = []
-    ratios: list[float] = []
-    thetas: Optional[list[float]] = [] if track_theta else None
-
+    rows = []
     cum_r = 0.0
     cum_c = 0.0
     next_row = min(stride, horizon)
@@ -147,28 +135,6 @@ def run_episode(
         cum_c += c
         if t == next_row:
             next_row = min(t + stride, horizon)
-            rounds.append(t)
-            types_col.append(s)
-            arms_col.append(a)
-            rewards.append(r)
-            costs.append(c)
-            cum_rewards.append(cum_r)
-            cum_costs.append(cum_c)
-            ratios.append(cum_r / cum_c)
-            if track_theta:
-                thetas.append(policy.theta)
+            rows.append((t, s, a, r, c, cum_r, cum_c, cum_r / cum_c, policy.theta))
 
-    return EpisodeTrace(
-        policy=kind.name,
-        seed=seed,
-        horizon=horizon,
-        rounds=rounds,
-        task_types=types_col,
-        arms=arms_col,
-        rewards=rewards,
-        costs=costs,
-        cum_rewards=cum_rewards,
-        cum_costs=cum_costs,
-        ratios=ratios,
-        thetas=thetas,
-    )
+    return EpisodeTrace(kind.name, seed, horizon, rows)

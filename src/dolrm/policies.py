@@ -175,8 +175,12 @@ class DolRmPolicy(_RatioIterate):
         log_t = self._log_horizon
         theta = self.theta
         sqrt = math.sqrt
+        # If no score beats -inf (every one is -inf or NaN), the lowest arm
+        # is played with the exploration sentinels.
         best = 0
         best_score = -math.inf
+        best_r_hat = r_max
+        best_c_check = c_min
         for a in range(len(counts)):
             bonus = sqrt(log_t / counts[a])
             r_hat = mean_r[a] + bonus

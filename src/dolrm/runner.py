@@ -15,15 +15,16 @@ Layout under the configured output directory:
 Trace CSV columns are fixed: run_id,policy,t,type,arm,reward,cost,
 cum_reward,cum_cost,ratio,theta. The theta column is empty for policies
 that do not track a ratio iterate. Floats are written with 12 significant
-digits so re-runs compare byte for byte.
+digits so re-runs compare byte for byte. The JSON documents are strict
+JSON: an infinite or undefined (NaN) number is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -34,6 +35,9 @@ from .harness import EpisodeTrace, run_episode
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
+# One EpisodeTrace row, t through ratio; write_trace puts the run id and the
+# policy before it and the theta field after it.
+TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -42,8 +46,19 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _finite_or_null(doc: Any) -> Any:
+    """``doc`` with every inf and NaN replaced by None, which JSON writes as null."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
+
+
 def _write_json(path: Path, doc: Any) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    _write_atomic(path, json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
 
 
 def trace_run_id(policy: str, horizon: int, seed: int) -> str:
@@ -51,18 +66,13 @@ def trace_run_id(policy: str, horizon: int, seed: int) -> str:
 
 
 def write_trace(path: Path, trace: EpisodeTrace) -> None:
-    head = f"{trace_run_id(trace.policy, trace.horizon, trace.seed)},{trace.policy}"
-    thetas = repeat("") if trace.thetas is None else (f"{x:.12g}" for x in trace.thetas)
-    rows = zip(
-        trace.rounds, trace.task_types, trace.arms, trace.rewards, trace.costs,
-        trace.cum_rewards, trace.cum_costs, trace.ratios, thetas,
-    )
-    lines = [TRACE_HEADER]
-    lines.extend(
-        f"{head},{t},{s},{a},{r:.12g},{c:.12g},{cum_r:.12g},{cum_c:.12g},{ratio:.12g},{theta}"
-        for t, s, a, r, c, cum_r, cum_c, ratio, theta in rows
-    )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    head = f"{trace_run_id(trace.policy, trace.horizon, trace.seed)},{trace.policy},"
+    # "%.0s" writes a theta of None as an empty field.
+    theta = "%.0s" if trace.rows[-1][8] is None else "%.12g"
+    template = head.replace("%", "%%") + TRACE_ROW_FIELDS + theta + "\n"
+    lines = [TRACE_HEADER + "\n"]
+    lines += map(template.__mod__, trace.rows)
+    _write_atomic(path, "".join(lines))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test helpers: the reference environments, the scalar samplers, the
 readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
-the oracle and per-call Thompson sampling) and a stub generator.
+the oracle, per-call Thompson sampling and the trace CSV line) and a stub
+generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -17,6 +18,7 @@ import numpy as np
 
 from dolrm.env import EnvironmentSpec
 from dolrm.estimator import ArmStatistics
+from dolrm.harness import EpisodeTrace
 from dolrm.oracle import OracleResult
 from dolrm.policies import PolicyKind, ThompsonSamplingPolicy
 
@@ -201,6 +203,22 @@ class PerCallThompsonSampling(ThompsonSamplingPolicy):
                 best_score = score
                 best = a
         return best
+
+
+def reference_trace_csv(trace: EpisodeTrace) -> str:
+    """Readable reference for dolrm.runner.write_trace's row template.
+
+    Builds each CSV line field by field: ints with str and floats with
+    format(x, ".12g"); a theta of None is an empty field.
+    """
+    run_id = f"{trace.policy}-T{trace.horizon}-seed{trace.seed}"
+    lines = ["run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"]
+    for t, s, a, reward, cost, cum_r, cum_c, ratio, theta in trace.rows:
+        fields = [run_id, trace.policy, str(t), str(s), str(a)]
+        fields += [format(x, ".12g") for x in (reward, cost, cum_r, cum_c, ratio)]
+        fields.append("" if theta is None else format(theta, ".12g"))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 class StubRng:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,15 +7,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dolrm
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
-from dolrm.harness import run_episode
+from dolrm.harness import EpisodeTrace, run_episode
 from dolrm.policies import PolicyKind
-from dolrm.runner import TRACE_HEADER, run_experiment, trace_run_id
+from dolrm.runner import TRACE_HEADER, run_experiment, trace_run_id, write_trace
 
-from support import TWO_TYPE_ARMS
+from support import TWO_TYPE_ARMS, reference_trace_csv
 
 ALL_KINDS = (
     PolicyKind("dolrm"),
@@ -190,6 +193,31 @@ CLI_ENV = {
 }
 
 
+trace_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(),
+)
+trace_ints = st.integers(min_value=0, max_value=2**63)
+
+
+@st.composite
+def episode_traces(draw):
+    # '%' in the policy name must reach the file as itself, not as format text
+    policy = draw(st.text(alphabet="ab.-_%sdg0", min_size=1, max_size=8))
+    theta = st.none() if draw(st.booleans()) else trace_floats
+    row = st.tuples(trace_ints, trace_ints, trace_ints, *[trace_floats] * 5, theta)
+    rows = draw(st.lists(row, min_size=1, max_size=20))
+    return EpisodeTrace(policy, draw(trace_ints), draw(trace_ints), rows)
+
+
+@settings(deadline=None)
+@given(trace=episode_traces())
+def test_write_trace_matches_field_by_field_reference(tmp_path_factory, trace):
+    path = tmp_path_factory.getbasetemp() / "trace.csv"
+    write_trace(path, trace)
+    assert path.read_text() == reference_trace_csv(trace)
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "dolrm", *args],
@@ -306,6 +334,48 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: environment: arms[0][0]: mean_cost 1e-320 is too small")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            # theta* = 1e306, so horizon * gap overflows to inf
+            (
+                {
+                    "environment": {"arrival_probs": [1.0], "arms": [[[1, 1e-306], [1, 1]]], "noise_sigma": 0},
+                    "policies": [{"kind": "fixed", "actions": [1]}],
+                    "horizon": 1000,
+                },
+                "mean_regret",
+            ),
+            # the cost means overflow to inf, so every dolrm score is -inf or
+            # NaN and the final ratio is NaN
+            (
+                {
+                    "environment": "two-type-p08",
+                    "noise_sigma": 1e306,
+                    "policies": [{"kind": "dolrm"}],
+                    "horizon": 100000,
+                    "seeds": [0],
+                },
+                "mean_final_ratio",
+            ),
+        ],
+        ids=["regret-overflow", "noise-overflow"],
+    )
+    def test_non_finite_results_are_strict_json_nulls(self, tmp_path, config, key):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "results")}))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        docs = {
+            name: json.loads((tmp_path / "results" / name).read_text(), parse_constant=reject)
+            for name in ("summary.json", "oracle.json", "resolved_config.json")
+        }
+        assert docs["summary.json"]["results"][0][key] is None
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("oracle", str(tmp_path / "absent.json"))

@@ -126,15 +126,16 @@ class TestFeedbackSampling:
     def test_noiseless_batch(self, p08_noiseless):
         # sigma = 0: the episode's feedback is the exact arm means every round
         trace = run_episode(p08_noiseless, PolicyKind("fixed", (0, 1)), 8, 0, stride=1)
-        for s, a, r, c in zip(trace.task_types, trace.arms, trace.rewards, trace.costs):
+        for _, s, a, r, c, *_ in trace.rows:
             assert (r, c) == p08_noiseless.arms[s][a]
 
     def test_empirical_means(self):
         n = 1_000_000
         spec = EnvironmentSpec((1.0,), (((3.0, 2.0),),), 1.0)
         trace = run_episode(spec, PolicyKind("fixed", (0,)), n, 11)
-        assert abs(trace.cum_rewards[-1] / n - 3.0) < 5e-3
-        assert abs(trace.cum_costs[-1] / n - 2.0) < 5e-3
+        *_, cum_r, cum_c, _, _ = trace.rows[-1]
+        assert abs(cum_r / n - 3.0) < 5e-3
+        assert abs(cum_c / n - 2.0) < 5e-3
 
 
 def test_spec_canonicalizes_numeric_types():

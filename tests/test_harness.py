@@ -111,11 +111,12 @@ class TestArrivalSampling:
 class TestRunEpisode:
     def test_single_round_singleton(self):
         trace = run_episode(SINGLETON, DOLRM, 1, 0)
-        assert trace.rounds == [1]
-        assert trace.arms == [0]
-        assert trace.ratios == [2.0]
+        [(t, _, a, _, _, _, _, ratio, theta)] = trace.rows
+        assert t == 1
+        assert a == 0
+        assert ratio == 2.0
         assert trace.final_ratio == 2.0
-        assert trace.thetas is not None and len(trace.thetas) == 1
+        assert theta is not None
 
     def test_noiseless_fixed_maps_approach_expected_ratios(self):
         spec = two_type_env(sigma=0.0)
@@ -127,39 +128,35 @@ class TestRunEpisode:
     def test_identical_seed_reproduces_trace(self, p08):
         a = run_episode(p08, DOLRM, 2_000, 9)
         b = run_episode(p08, DOLRM, 2_000, 9)
-        assert a.rounds == b.rounds
-        assert a.task_types == b.task_types
-        assert a.arms == b.arms
-        assert a.rewards == b.rewards
-        assert a.costs == b.costs
-        assert a.thetas == b.thetas
+        assert a.rows == b.rows
 
     def test_different_seeds_differ(self, p08):
         a = run_episode(p08, DOLRM, 500, 0)
         b = run_episode(p08, DOLRM, 500, 1)
-        assert a.rewards != b.rewards
+        assert [row[3] for row in a.rows] != [row[3] for row in b.rows]
 
     def test_cumulative_sums_are_prefix_sums(self, p08):
         trace = run_episode(p08, DOLRM, 500, 2, stride=1)
+        assert len(trace.rows) == 500
         run_r = run_c = 0.0
-        for i in range(500):
-            run_r += trace.rewards[i]
-            run_c += trace.costs[i]
-            assert trace.cum_rewards[i] == pytest.approx(run_r, abs=1e-9)
-            assert trace.cum_costs[i] == pytest.approx(run_c, abs=1e-9)
-        assert trace.cum_rewards[-1] == pytest.approx(
-            math.fsum(trace.rewards), abs=1e-9
+        for _, _, _, r, c, cum_r, cum_c, _, _ in trace.rows:
+            run_r += r
+            run_c += c
+            assert cum_r == pytest.approx(run_r, abs=1e-9)
+            assert cum_c == pytest.approx(run_c, abs=1e-9)
+        assert trace.rows[-1][5] == pytest.approx(
+            math.fsum(row[3] for row in trace.rows), abs=1e-9
         )
 
     def test_theta_stays_inside_bounds(self, p08):
         b = derived_bounds(p08)
         for kind in (DOLRM, PolicyKind("oracle-rm")):
             trace = run_episode(p08, kind, 5_000, 4, stride=1)
-            assert all(b.theta_min <= x <= b.theta_max for x in trace.thetas)
+            assert all(b.theta_min <= theta <= b.theta_max for *_, theta in trace.rows)
 
     def test_theta_absent_for_estimating_baselines(self, p08):
         for kind in (REVERSE, PolicyKind("ucb"), PolicyKind("ts")):
-            assert run_episode(p08, kind, 50, 0).thetas is None
+            assert all(theta is None for *_, theta in run_episode(p08, kind, 50, 0).rows)
 
     def test_stride_controls_logged_rounds(self, p08):
         assert run_episode(p08, DOLRM, 10, 0, stride=1).rounds == list(range(1, 11))
@@ -188,15 +185,12 @@ class TestRunEpisode:
                 for stride in (1, 4, horizon + 1):
                     trace = run_episode(spec, kind, horizon, 21, stride=stride)
                     expected = scalar_replay(spec, kind, horizon, 21, stride)
-                    for column, values in expected.items():
-                        # repr tells -0.0 from 0.0
-                        assert repr(getattr(trace, column)) == repr(values), (
-                            spec, kind, stride, column,
-                        )
+                    # repr tells -0.0 from 0.0
+                    assert repr(trace.rows) == repr(expected), (spec, kind, stride)
 
 
 def scalar_replay(spec, kind, horizon, seed, stride):
-    """The trace columns of one episode, replayed one round at a time."""
+    """The trace rows of one episode, replayed one round at a time."""
     arrival = stream_rng(seed, ARRIVAL_STREAM)
     feedback = stream_rng(seed, FEEDBACK_STREAM)
     policy_rng = stream_rng(seed, POLICY_STREAM)
@@ -204,13 +198,7 @@ def scalar_replay(spec, kind, horizon, seed, stride):
         policy = PerCallThompsonSampling(spec, policy_rng)
     else:
         policy = make_policy(kind, spec, horizon, "decaying", policy_rng)
-    columns = {
-        name: []
-        for name in (
-            "rounds", "task_types", "arms", "rewards", "costs",
-            "cum_rewards", "cum_costs", "ratios", "thetas",
-        )
-    }
+    rows = []
     cum_r = cum_c = 0.0
     for t in range(1, horizon + 1):
         s = sample_task(spec, arrival)
@@ -220,12 +208,8 @@ def scalar_replay(spec, kind, horizon, seed, stride):
         cum_r += reward
         cum_c += cost
         if t % stride == 0 or t == horizon:
-            row = (t, s, a, reward, cost, cum_r, cum_c, cum_r / cum_c, policy.theta)
-            for values, value in zip(columns.values(), row):
-                values.append(value)
-    if policy.theta is None:
-        columns["thetas"] = None
-    return columns
+            rows.append((t, s, a, reward, cost, cum_r, cum_c, cum_r / cum_c, policy.theta))
+    return rows
 
 
 class TestCountBookkeeping:

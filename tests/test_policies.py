@@ -240,6 +240,19 @@ class TestDolRmPolicy:
         policy.update(0, 0, reward=0.0, cost=0.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
 
+    @pytest.mark.parametrize(
+        "mean_reward,mean_cost", [(3.0, math.inf), (3.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)]
+    )
+    def test_no_comparable_score_plays_lowest_arm_with_sentinels(self, mean_reward, mean_cost):
+        # every score is -inf or NaN, so none beats -inf: arm 0 is played and
+        # theta steps with the sentinels r_max=3, c_min=1; round 1 -> eta 0.5
+        policy = self.exact_estimate_policy(1.0)
+        policy.stats.mean_rewards[1] = [mean_reward, mean_reward]
+        policy.stats.mean_costs[1] = [mean_cost, mean_cost]
+        assert policy.select(1) == 0
+        policy.update(1, 0, reward=3.0, cost=1.0)
+        assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
+
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
@@ -505,7 +518,7 @@ def test_noiseless_learner_concentrates_on_the_optimal_map():
     from dolrm.harness import run_episode
 
     trace = run_episode(two_type_env(sigma=0.0), PolicyKind("dolrm"), 20_000, 3, stride=1)
-    pairs = [(t, a) for t, s, a in zip(trace.rounds, trace.task_types, trace.arms) if s == 1]
+    pairs = [(t, a) for t, s, a, *_ in trace.rows if s == 1]
     suboptimal = [t for t, a in pairs if a == 0]
     late = [a for t, a in pairs if t > 10_000]
     assert len(suboptimal) / len(pairs) < 0.06

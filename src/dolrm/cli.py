@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -44,10 +45,12 @@ def _cmd_run(config_path: str) -> int:
             f"(gap {summary.mean_gap:.3g} over {summary.num_seeds} seeds)"
         )
     for policy, slope in bundle.gap_slopes.items():
-        if slope is None:
+        if slope is not None:
+            print(f"gap slope {policy}: {slope:.4f}")
+        elif all(math.isfinite(s.mean_gap) for s in bundle.summaries if s.policy == policy):
             print(f"gap slope {policy}: not estimable, a mean gap reached 0 (below measurement floor)")
         else:
-            print(f"gap slope {policy}: {slope:.4f}")
+            print(f"gap slope {policy}: not estimable, a mean gap is not finite")
     print(f"outputs written to {bundle.output_dir}")
     return 0
 

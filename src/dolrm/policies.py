@@ -151,58 +151,61 @@ class DolRmPolicy(_RatioIterate):
     and plays the best score. On feedback it moves theta with the estimates
     that decision consumed (the r_max / c_min sentinels during forced
     exploration), and only then folds the new observation into the
-    empirical means.
+    empirical means. Both bounds depend on one cell's statistics alone, so
+    they are kept per cell in ``reward_ucb`` and ``cost_lcb`` and ``update``
+    refreshes only the cell it pulled; unpulled cells hold the sentinels.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self.stats = ArmStatistics.for_spec(spec)
         self._log_horizon = math.log(horizon)
+        self.reward_ucb = [[self.bounds.r_max] * len(arms_s) for arms_s in spec.arms]
+        self.cost_lcb = [[self.bounds.c_min] * len(arms_s) for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
         counts = self.stats.counts[s]
-        bounds = self.bounds
-        r_max = bounds.r_max
-        c_min = bounds.c_min
         if 0 in counts:
-            self._r_hat = r_max
-            self._c_check = c_min
+            self._r_hat = self.bounds.r_max
+            self._c_check = self.bounds.c_min
             return counts.index(0)
-        mean_r = self.stats.mean_rewards[s]
-        mean_c = self.stats.mean_costs[s]
-        log_t = self._log_horizon
+        ucb = self.reward_ucb[s]
+        lcb = self.cost_lcb[s]
         theta = self.theta
-        sqrt = math.sqrt
-        # If no score beats -inf (every one is -inf or NaN), the lowest arm
-        # is played with the exploration sentinels.
         best = 0
         best_score = -math.inf
-        best_r_hat = r_max
-        best_c_check = c_min
-        for a in range(len(counts)):
-            bonus = sqrt(log_t / counts[a])
-            r_hat = mean_r[a] + bonus
-            if r_hat > r_max:
-                r_hat = r_max
-            c_check = mean_c[a] - bonus
-            if c_check < c_min:
-                c_check = c_min
-            score = r_hat - theta * c_check
+        for a in range(len(ucb)):
+            score = ucb[a] - theta * lcb[a]
             if score > best_score:
                 best_score = score
                 best = a
-                best_r_hat = r_hat
-                best_c_check = c_check
-        self._r_hat = best_r_hat
-        self._c_check = best_c_check
+        if best_score == -math.inf:
+            # No score beat -inf (every one is -inf or NaN): the lowest arm
+            # is played with the exploration sentinels.
+            self._r_hat = self.bounds.r_max
+            self._c_check = self.bounds.c_min
+        else:
+            self._r_hat = ucb[best]
+            self._c_check = lcb[best]
         return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         # a direct base call: super() costs a few percent of a round
         _RatioIterate.update(self, s, a, reward, cost)
-        self.stats.record(s, a, reward, cost)
+        stats = self.stats
+        stats.record(s, a, reward, cost)
+        bounds = self.bounds
+        bonus = math.sqrt(self._log_horizon / stats.counts[s][a])
+        r_hat = stats.mean_rewards[s][a] + bonus
+        if r_hat > bounds.r_max:
+            r_hat = bounds.r_max
+        c_check = stats.mean_costs[s][a] - bonus
+        if c_check < bounds.c_min:
+            c_check = bounds.c_min
+        self.reward_ucb[s][a] = r_hat
+        self.cost_lcb[s][a] = c_check
 
 
 class FixedMapPolicy:

@@ -142,15 +142,17 @@ def _gap_slopes(cfg: ExperimentConfig, summaries: tuple[ReplicationSummary, ...]
     """Log-log slope of mean gap vs horizon per policy.
 
     Empty for grids of fewer than three horizons. A policy's slope is None
-    when one of its mean gaps is exactly 0: convergence fell below the
-    measurement floor and the log-log fit is undefined.
+    unless every one of its mean gaps is finite and above 0: a gap of
+    exactly 0 fell below the measurement floor, an infinite or NaN one has
+    no logarithm, and either way the log-log fit is undefined.
     """
     if len(cfg.horizons) < 3:
         return {}
     slopes: dict[str, Optional[float]] = {}
     for kind in cfg.policies:
         gaps = [s.mean_gap for s in summaries if s.policy == kind.name]
-        slopes[kind.name] = fit_loglog_slope(cfg.horizons, gaps) if min(gaps) > 0.0 else None
+        defined = all(0.0 < gap < math.inf for gap in gaps)  # NaN fails both
+        slopes[kind.name] = fit_loglog_slope(cfg.horizons, gaps) if defined else None
     return slopes
 
 

@@ -1,8 +1,8 @@
 """Shared test helpers: the reference environments, the scalar samplers, the
 readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
-the oracle, per-call Thompson sampling and the trace CSV line) and a stub
-generator.
+the oracle, the per-arm dolrm decision, per-call Thompson sampling and the
+trace CSV line) and a stub generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -20,7 +20,7 @@ from dolrm.env import EnvironmentSpec
 from dolrm.estimator import ArmStatistics
 from dolrm.harness import EpisodeTrace
 from dolrm.oracle import OracleResult
-from dolrm.policies import PolicyKind, ThompsonSamplingPolicy
+from dolrm.policies import DolRmPolicy, PolicyKind, ThompsonSamplingPolicy
 
 TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
 
@@ -168,6 +168,50 @@ def brute_force_theta_star(spec: EnvironmentSpec) -> OracleResult:
             best_ratio = ratio
             best_actions = actions
     return OracleResult(best_ratio, PolicyKind("fixed", best_actions), n_maps)
+
+
+class PerArmDolRm(DolRmPolicy):
+    """Readable reference for DolRmPolicy's cached bounds.
+
+    Rebuilds both confidence bounds of every arm from the statistics on
+    each decision, where the policy reads the ones its ``update`` cached.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
+        super().__init__(spec, horizon, lr_mode)
+        self.horizon = horizon
+
+    def select(self, s: int) -> int:
+        if s < 0:
+            raise IndexError(f"negative task type {s}")
+        stats = self.stats
+        counts = stats.counts[s]
+        r_max = self.bounds.r_max
+        c_min = self.bounds.c_min
+        self._r_hat = r_max
+        self._c_check = c_min
+        for a, n in enumerate(counts):
+            if n == 0:
+                return a
+        # If no score beats -inf (every one is -inf or NaN), the lowest arm
+        # is played with the exploration sentinels.
+        best = 0
+        best_score = -math.inf
+        for a in range(len(counts)):
+            bonus = math.sqrt(math.log(self.horizon) / counts[a])
+            r_hat = stats.mean_rewards[s][a] + bonus
+            if r_hat > r_max:
+                r_hat = r_max
+            c_check = stats.mean_costs[s][a] - bonus
+            if c_check < c_min:
+                c_check = c_min
+            score = r_hat - self.theta * c_check
+            if score > best_score:
+                best_score = score
+                best = a
+                self._r_hat = r_hat
+                self._c_check = c_check
+        return best
 
 
 class PerCallThompsonSampling(ThompsonSamplingPolicy):

@@ -291,7 +291,36 @@ class TestCommandLine:
         lines = [line for line in proc.stdout.splitlines() if line.startswith("gap slope")]
         assert len(lines) == 2
         assert re.fullmatch(r"gap slope dolrm: -?\d+\.\d{4}", lines[0])
-        assert lines[1].startswith("gap slope best: not estimable")
+        assert lines[1] == "gap slope best: not estimable, a mean gap reached 0 (below measurement floor)"
+
+    @pytest.mark.parametrize(
+        "sigma,seed,undefined_gaps",
+        [(1e308, 0, [False, False, True]), (1.7e308, 56, [True, True, True])],
+        ids=["last-gap-nan", "every-gap-nan"],
+    )
+    def test_run_reports_non_finite_gaps_apart_from_zero_gaps(self, tmp_path, sigma, seed, undefined_gaps):
+        # noise this large overflows a sampled reward or cost to +-inf, and
+        # a final ratio of inf / inf or of (inf - inf) / c is NaN
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": "two-type-p08",
+                    "noise_sigma": sigma,
+                    "policies": [{"kind": "fixed", "actions": [0, 1]}],
+                    "horizons": [1, 2, 3],
+                    "seeds": [seed],
+                    "output_dir": str(tmp_path / "results"),
+                }
+            )
+        )
+        proc = run_cli("run", str(config))
+        assert proc.returncode == 0
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("gap slope")]
+        assert lines == ["gap slope fixed-0-1: not estimable, a mean gap is not finite"]
+        doc = json.loads((tmp_path / "results" / "summary.json").read_text())
+        assert [row["mean_gap"] is None for row in doc["results"]] == undefined_gaps
+        assert doc["gap_slopes"] == {"fixed-0-1": None}
 
     def test_bad_config_exits_nonzero_with_diagnostic(self, tmp_path):
         config = tmp_path / "cfg.json"

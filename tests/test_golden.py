@@ -1,12 +1,14 @@
 """Byte-level reproducibility: the SHA-256 of everything a small sweep writes.
 
 The sweep runs every preset under both learning-rate modes at sigma 0, 0.7
-and the preset's own sigma, plus one inline noiseless environment with a
-``-0.0`` mean reward and two identical arms (so every argmax meets an exact
-tie), through the command line: ``dolrm run`` and ``dolrm oracle`` per
-config, and ``dolrm presets`` once. Each config runs dolrm, ucb, ts,
-oracle-rm and a labelled fixed map at horizons 1, 50, 500 and 3000, seeds
-0-2 and log stride 7. ``golden/digests.json`` holds the digest of every
+and the preset's own sigma, plus two inline environments under both
+modes: a noiseless one with a ``-0.0`` mean reward and two identical arms
+(so every argmax meets an exact tie), and one at sigma 1 whose three
+types have 1, 5 and 8 arms, two of them identical (the presets have at
+most 2 arms per type). All of it runs through the command line:
+``dolrm run`` and ``dolrm oracle`` per config, and ``dolrm presets`` once.
+Each config runs dolrm, ucb, ts, oracle-rm and a labelled fixed map at
+horizons 1, 50, 500 and 3000, seeds 0-2 and log stride 7. ``golden/digests.json`` holds the digest of every
 output file and of each command's stdout, with the output path replaced by
 ``<out>``. ``resolved_config.json`` is left out because it echoes the
 output path.
@@ -38,6 +40,19 @@ SIGNED_ZERO_ENV = {
     "arms": [[[-0.0, 0.5]], [[1.5, 0.75], [1.5, 0.75]]],
     "noise_sigma": 0.0,
 }
+MANY_ARMS_ENV = {
+    "arrival_probs": [0.25, 0.35, 0.4],
+    "arms": [
+        [[2.0, 1.0]],
+        [[3.0, 2.0], [1.0, 0.75], [2.5, 1.5], [1.0, 0.75], [0.5, 0.25]],
+        [
+            [1.0, 0.5], [2.0, 1.5], [3.0, 2.5], [1.5, 1.0],
+            [2.75, 2.0], [0.75, 0.5], [2.25, 1.25], [1.25, 0.75],
+        ],
+    ],
+    "noise_sigma": 1.0,
+}
+INLINE_ENVS = {"signed-zero": SIGNED_ZERO_ENV, "many-arms": MANY_ARMS_ENV}
 UNDIGESTED = {"resolved_config.json"}
 
 
@@ -52,13 +67,11 @@ def sweep_configs():
                     env["noise_sigma"] = sigma
                 label = "default" if sigma is None else f"{sigma:g}"
                 yield f"{preset}-{lr_mode}-sigma-{label}", env, arms
-    for lr_mode in LEARNING_RATE_MODES:
-        env = {
-            "environment": SIGNED_ZERO_ENV,
-            "environment_name": "signed-zero",
-            "learning_rate": lr_mode,
-        }
-        yield f"signed-zero-{lr_mode}", env, [len(arms_s) for arms_s in SIGNED_ZERO_ENV["arms"]]
+    for name, inline in INLINE_ENVS.items():
+        arms = [len(arms_s) for arms_s in inline["arms"]]
+        for lr_mode in LEARNING_RATE_MODES:
+            env = {"environment": inline, "environment_name": name, "learning_rate": lr_mode}
+            yield f"{name}-{lr_mode}", env, arms
 
 
 def sha256(data: bytes) -> str:

@@ -24,6 +24,7 @@ from dolrm.policies import (
 )
 
 from support import (
+    PerArmDolRm,
     PerCallThompsonSampling,
     StubRng,
     lcb_cost,
@@ -180,15 +181,28 @@ class TestPolicyKind:
         assert PolicyKind("fixed", (0, 1), label="reverse").name == "reverse"
 
 
+def explored_dolrm(spec, horizon, feedback, theta):
+    """A dolrm policy that played one round per (type, reward, cost) of
+    ``feedback`` through its own select and update, then was put back to
+    round 1 at ``theta``.
+
+    Forced exploration plays each unpulled arm of a type in index order, so
+    the k-th entry of a type lands on its k-th arm.
+    """
+    policy = DolRmPolicy(spec, horizon)
+    for s, reward, cost in feedback:
+        policy.update(s, policy.select(s), reward, cost)
+    policy.theta = theta
+    policy.round = 1
+    return policy
+
+
 class TestDolRmPolicy:
-    def exact_estimate_policy(self, theta):
-        # huge counts shrink the bonus to ~1e-9 so scores sit at the means
-        policy = DolRmPolicy(two_type_env(), horizon=100)
-        policy.stats.counts = [[10**18], [10**18, 10**18]]
-        policy.stats.mean_rewards = [[3.0], [3.0, 1.0]]
-        policy.stats.mean_costs = [[1.0], [2.0, 1.0]]
-        policy.theta = theta
-        return policy
+    def exact_estimate_policy(self, theta, type1_feedback=((3.0, 2.0), (1.0, 1.0))):
+        # horizon 1 makes the bonus sqrt(log 1 / N) exactly 0, so the
+        # bounds sit at the means, clipped to [c_min, r_max] = [1, 3]
+        feedback = [(0, 3.0, 1.0)] + [(1, r, c) for r, c in type1_feedback]
+        return explored_dolrm(two_type_env(), 1, feedback, theta)
 
     def test_initializes_at_theta_min(self, p08):
         policy = DolRmPolicy(p08, horizon=100)
@@ -216,11 +230,8 @@ class TestDolRmPolicy:
             DolRmPolicy(p08, horizon=100).select(-1)
 
     def test_update_uses_pre_record_estimates(self, p08):
-        policy = DolRmPolicy(p08, horizon=100)
-        policy.stats.counts[1] = [1, 1]
-        policy.stats.mean_rewards[1] = [0.0, 2.0]
-        policy.stats.mean_costs[1] = [2.0, 1.0]
-        policy.theta = 2.0
+        policy = explored_dolrm(p08, 100, [(1, 0.0, 2.0), (1, 2.0, 1.0)], theta=2.0)
+        assert policy.stats.counts == [[0], [1, 1]]
         # bonus sqrt(log 100) = 2.146: arm 0 scores 2.146 - 2 * 1, arm 1
         # scores 3 - 2 * 1 with r_hat = min(3, 2 + 2.146) = 3 and
         # c_check = max(1, 1 - 2.146) = 1; round 1, decaying -> eta = 0.5
@@ -246,9 +257,7 @@ class TestDolRmPolicy:
     def test_no_comparable_score_plays_lowest_arm_with_sentinels(self, mean_reward, mean_cost):
         # every score is -inf or NaN, so none beats -inf: arm 0 is played and
         # theta steps with the sentinels r_max=3, c_min=1; round 1 -> eta 0.5
-        policy = self.exact_estimate_policy(1.0)
-        policy.stats.mean_rewards[1] = [mean_reward, mean_reward]
-        policy.stats.mean_costs[1] = [mean_cost, mean_cost]
+        policy = self.exact_estimate_policy(1.0, [(mean_reward, mean_cost)] * 2)
         assert policy.select(1) == 0
         policy.update(1, 0, reward=3.0, cost=1.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
@@ -256,12 +265,21 @@ class TestDolRmPolicy:
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
-        spec=random_specs,
+        spec=wide_specs,
         horizon=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(
+        spec=EnvironmentSpec((1.0,), (((1.0, 1.0),),), 0.0), horizon=1, seed=0
+    ).via("singleton type, horizon 1")
+    @example(
+        spec=EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 0.5),) * 32), 0.0),
+        horizon=300,
+        seed=1,
+    ).via("32 tied arms beside a singleton type, sigma 0")
     def test_update_matches_estimator_composition(self, lr_mode, spec, horizon, seed):
         policy = DolRmPolicy(spec, horizon, lr_mode)
+        reference = PerArmDolRm(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)
         shadow = ArmStatistics.for_spec(spec)
         theta = bounds.theta_min
@@ -274,6 +292,7 @@ class TestDolRmPolicy:
             unpulled = [b for b in cells if shadow.counts[s][b] == 0]
             a = policy.select(s)
             assert a == (unpulled[0] if unpulled else greedy_arm(r_hats, c_checks, theta))
+            assert a == reference.select(s)
             r, c = spec.arms[s][a]
             reward = r + spec.noise_sigma * rng.standard_normal()
             cost = c + spec.noise_sigma * rng.standard_normal()
@@ -283,7 +302,20 @@ class TestDolRmPolicy:
             )
             shadow.record(s, a, reward, cost)
             policy.update(s, a, reward, cost)
-            assert policy.theta == theta
+            reference.update(s, a, reward, cost)
+            assert policy.theta == reference.theta == theta
+            assert policy.reward_ucb[s][a] == ucb_reward(shadow, s, a, horizon, bounds.r_max)
+            assert policy.cost_lcb[s][a] == lcb_cost(shadow, s, a, horizon, bounds.c_min)
+        # every other cell kept its bounds, the sentinels if it was never pulled
+        types = range(spec.num_types)
+        assert policy.reward_ucb == [
+            [ucb_reward(shadow, s, b, horizon, bounds.r_max) for b in range(spec.num_arms(s))]
+            for s in types
+        ]
+        assert policy.cost_lcb == [
+            [lcb_cost(shadow, s, b, horizon, bounds.c_min) for b in range(spec.num_arms(s))]
+            for s in types
+        ]
         assert policy.stats.counts == shadow.counts
         assert policy.stats.mean_rewards == shadow.mean_rewards
         assert policy.stats.mean_costs == shadow.mean_costs

@@ -11,7 +11,8 @@ class ArmStatistics:
     """Pull counts and incremental reward/cost means, one cell per (type, arm).
 
     Means follow the running-average update mean <- (mean*N + x) / (N+1), so
-    memory stays O(1) per cell.
+    memory stays O(1) per cell. ``DolRmPolicy`` and ``ThompsonSamplingPolicy``
+    write the same expression in place, saving a nested call per round.
     """
 
     __slots__ = ("counts", "mean_rewards", "mean_costs")

@@ -120,7 +120,9 @@ class _RatioIterate:
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
         bounds = derived_bounds(spec)
-        self.bounds = bounds
+        self.c_min = bounds.c_min
+        self.theta_min = bounds.theta_min
+        self.theta_max = bounds.theta_max
         self.theta = bounds.theta_min
         self.round = 1
         # Called for either mode so that an unknown mode fails here.
@@ -128,16 +130,15 @@ class _RatioIterate:
         self._fixed_eta = None if lr_mode == "decaying" else eta
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
-        bounds = self.bounds
         t = self.round
         eta = self._fixed_eta
         if eta is None:
-            eta = 1.0 / (bounds.c_min * (t + 1))
+            eta = 1.0 / (self.c_min * (t + 1))
         theta = self.theta + eta * (self._r_hat - self.theta * self._c_check)
-        if theta < bounds.theta_min:
-            theta = bounds.theta_min
-        elif theta > bounds.theta_max:
-            theta = bounds.theta_max
+        if theta < self.theta_min:
+            theta = self.theta_min
+        elif theta > self.theta_max:
+            theta = self.theta_max
         self.theta = theta
         self.round = t + 1
 
@@ -150,26 +151,29 @@ class DolRmPolicy(_RatioIterate):
     pessimistic cost LCB max(c_min, mean - sqrt(log T / N)), T the horizon,
     and plays the best score. On feedback it moves theta with the estimates
     that decision consumed (the r_max / c_min sentinels during forced
-    exploration), and only then folds the new observation into the
-    empirical means. Both bounds depend on one cell's statistics alone, so
-    they are kept per cell in ``reward_ucb`` and ``cost_lcb`` and ``update``
-    refreshes only the cell it pulled; unpulled cells hold the sentinels.
+    exploration), and only then folds the observation into the pulled cell
+    of ``stats``: it writes the count and running means in place, with the
+    expression of ``ArmStatistics.record``. Both bounds depend on one
+    cell's statistics alone, so they are kept per cell in ``reward_ucb``
+    and ``cost_lcb``, refreshed from the new means in that same place;
+    unpulled cells hold the sentinels.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
+        self.r_max = derived_bounds(spec).r_max
         self.stats = ArmStatistics.for_spec(spec)
         self._log_horizon = math.log(horizon)
-        self.reward_ucb = [[self.bounds.r_max] * len(arms_s) for arms_s in spec.arms]
-        self.cost_lcb = [[self.bounds.c_min] * len(arms_s) for arms_s in spec.arms]
+        self.reward_ucb = [[self.r_max] * len(arms_s) for arms_s in spec.arms]
+        self.cost_lcb = [[self.c_min] * len(arms_s) for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
         counts = self.stats.counts[s]
         if 0 in counts:
-            self._r_hat = self.bounds.r_max
-            self._c_check = self.bounds.c_min
+            self._r_hat = self.r_max
+            self._c_check = self.c_min
             return counts.index(0)
         ucb = self.reward_ucb[s]
         lcb = self.cost_lcb[s]
@@ -184,26 +188,36 @@ class DolRmPolicy(_RatioIterate):
         if best_score == -math.inf:
             # No score beat -inf (every one is -inf or NaN): the lowest arm
             # is played with the exploration sentinels.
-            self._r_hat = self.bounds.r_max
-            self._c_check = self.bounds.c_min
+            self._r_hat = self.r_max
+            self._c_check = self.c_min
         else:
             self._r_hat = ucb[best]
             self._c_check = lcb[best]
         return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        if s < 0 or a < 0:
+            raise IndexError(f"negative cell index ({s}, {a})")
         # a direct base call: super() costs a few percent of a round
         _RatioIterate.update(self, s, a, reward, cost)
         stats = self.stats
-        stats.record(s, a, reward, cost)
-        bounds = self.bounds
-        bonus = math.sqrt(self._log_horizon / stats.counts[s][a])
-        r_hat = stats.mean_rewards[s][a] + bonus
-        if r_hat > bounds.r_max:
-            r_hat = bounds.r_max
-        c_check = stats.mean_costs[s][a] - bonus
-        if c_check < bounds.c_min:
-            c_check = bounds.c_min
+        counts = stats.counts[s]
+        mean_r = stats.mean_rewards[s]
+        mean_c = stats.mean_costs[s]
+        n = counts[a]
+        n1 = n + 1
+        r = (mean_r[a] * n + reward) / n1
+        c = (mean_c[a] * n + cost) / n1
+        mean_r[a] = r
+        mean_c[a] = c
+        counts[a] = n1
+        bonus = math.sqrt(self._log_horizon / n1)
+        r_hat = r + bonus
+        if r_hat > self.r_max:
+            r_hat = self.r_max
+        c_check = c - bonus
+        if c_check < self.c_min:
+            c_check = self.c_min
         self.reward_ucb[s][a] = r_hat
         self.cost_lcb[s][a] = c_check
 
@@ -279,6 +293,8 @@ class ThompsonSamplingPolicy:
     dividing. The normals are drawn ``chunk`` at a time into a buffer of
     Python floats; successive ``standard_normal`` calls continue one stream
     whatever their sizes, so the chunk size changes no decision.
+    ``update`` writes the pulled cell's count and running means in place,
+    with the expression of ``ArmStatistics.record``.
     """
 
     theta = None
@@ -330,7 +346,17 @@ class ThompsonSamplingPolicy:
         return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
-        self.stats.record(s, a, reward, cost)
+        if s < 0 or a < 0:
+            raise IndexError(f"negative cell index ({s}, {a})")
+        stats = self.stats
+        counts = stats.counts[s]
+        mean_r = stats.mean_rewards[s]
+        mean_c = stats.mean_costs[s]
+        n = counts[a]
+        n1 = n + 1
+        mean_r[a] = (mean_r[a] * n + reward) / n1
+        mean_c[a] = (mean_c[a] * n + cost) / n1
+        counts[a] = n1
 
 
 class OracleRmPolicy(_RatioIterate):

@@ -186,8 +186,8 @@ class PerArmDolRm(DolRmPolicy):
             raise IndexError(f"negative task type {s}")
         stats = self.stats
         counts = stats.counts[s]
-        r_max = self.bounds.r_max
-        c_min = self.bounds.c_min
+        r_max = self.r_max
+        c_min = self.c_min
         self._r_hat = r_max
         self._c_check = c_min
         for a, n in enumerate(counts):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dolrm.harness
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.harness import (
     ARRIVAL_STREAM,
@@ -15,6 +16,7 @@ from dolrm.harness import (
     stream_rng,
 )
 from dolrm.policies import (
+    POLICY_KINDS,
     ClassicUcbPolicy,
     DolRmPolicy,
     PolicyKind,
@@ -50,6 +52,41 @@ class TestStreams:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             stream_rng(-1, ARRIVAL_STREAM)
+
+    def test_every_kind_draws_the_same_arrivals_and_feedback(self, p08, monkeypatch):
+        # Common random numbers: comparing policies seed by seed is fair only
+        # if what a policy does never changes the arrivals and noise it meets.
+        draws = []
+
+        class RecordingRng:
+            def __init__(self, stream, rng):
+                self.stream = stream
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def call(*args):
+                    out = method(*args)
+                    draws[-1].append((self.stream, name, args, out.tolist()))
+                    return out
+
+                return call
+
+        def recording_stream_rng(seed, stream):
+            rng = stream_rng(seed, stream)
+            return rng if stream == POLICY_STREAM else RecordingRng(stream, rng)
+
+        monkeypatch.setattr(dolrm.harness, "stream_rng", recording_stream_rng)
+        kinds = [PolicyKind(k, (0, 1) if k == "fixed" else None) for k in POLICY_KINDS]
+        task_columns = []
+        for kind in kinds:
+            draws.append([])
+            trace = run_episode(p08, kind, 200, seed=7, stride=1)
+            task_columns.append([row[1] for row in trace.rows])
+        assert sorted({stream for stream, *_ in draws[0]}) == [ARRIVAL_STREAM, FEEDBACK_STREAM]
+        assert all(kind_draws == draws[0] for kind_draws in draws)
+        assert all(tasks == task_columns[0] for tasks in task_columns)
 
     def test_default_stride(self):
         assert default_stride(10) == 1

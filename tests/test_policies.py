@@ -10,6 +10,7 @@ from dolrm.estimator import ArmStatistics
 from dolrm.harness import POLICY_STREAM, stream_rng
 from dolrm.oracle import best_response
 from dolrm.policies import (
+    DEFAULT_LR_MODE,
     LEARNING_RATE_MODES,
     ClassicUcbPolicy,
     DolRmPolicy,
@@ -29,6 +30,7 @@ from support import (
     StubRng,
     lcb_cost,
     ratio_step,
+    sample_feedback,
     two_type_env,
     ucb_reward,
 )
@@ -42,7 +44,14 @@ dyadic_positive = st.integers(min_value=1, max_value=64).map(lambda k: k / 4.0)
 cell_mean = st.integers(min_value=1, max_value=12).map(lambda k: k / 4.0)
 
 
-def specs(max_arms):
+# Noise of this size leaves each observation finite but overflows a cell's
+# running sum, mean * N, within a few hundred pulls; the mean then stays inf.
+# The tests pass feedback as Python floats, as run_episode does: numpy
+# scalars would warn on the overflow.
+OVERFLOW_SIGMA = 1e307
+
+
+def specs(max_arms, sigmas=(0.0, 1.0)):
     return st.builds(
         lambda arms, sigma: EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, sigma),
         st.lists(
@@ -50,14 +59,44 @@ def specs(max_arms):
             min_size=1,
             max_size=4,
         ),
-        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(sigmas),
     )
 
 
 random_specs = specs(5)
 # Thompson sampling's per-decision work and draws grow with the arm count.
 wide_specs = specs(32)
+overflow_specs = specs(32, (0.0, 1.0, OVERFLOW_SIGMA))
 property_run = settings(deadline=None)
+# Specs every in-place update test runs besides the drawn ones.
+UPDATE_EXAMPLES = [
+    (EnvironmentSpec((1.0,), (((1.0, 1.0),),), 0.0), 1, 0, "singleton type, horizon 1"),
+    (
+        EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 0.5),) * 32), 0.0),
+        300,
+        1,
+        "32 tied arms beside a singleton type, sigma 0",
+    ),
+    (
+        EnvironmentSpec((1.0,), (((1.0, 1.0),),), OVERFLOW_SIGMA),
+        300,
+        0,
+        "running sums overflow",
+    ),
+]
+
+
+def with_update_examples(test):
+    for spec, horizon, seed, why in UPDATE_EXAMPLES:
+        test = example(spec=spec, horizon=horizon, seed=seed).via(why)(test)
+    return test
+
+
+def assert_same_cells(stats, shadow):
+    """Equal counts and bit-equal means: float.hex tells -0.0 from 0.0, and NaN matches NaN."""
+    assert stats.counts == shadow.counts
+    for mine, theirs in ((stats.mean_rewards, shadow.mean_rewards), (stats.mean_costs, shadow.mean_costs)):
+        assert [list(map(float.hex, row)) for row in mine] == [list(map(float.hex, row)) for row in theirs]
 
 
 def ucb_policy(stats, t):
@@ -265,18 +304,11 @@ class TestDolRmPolicy:
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
-        spec=wide_specs,
+        spec=overflow_specs,
         horizon=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(
-        spec=EnvironmentSpec((1.0,), (((1.0, 1.0),),), 0.0), horizon=1, seed=0
-    ).via("singleton type, horizon 1")
-    @example(
-        spec=EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 0.5),) * 32), 0.0),
-        horizon=300,
-        seed=1,
-    ).via("32 tied arms beside a singleton type, sigma 0")
+    @with_update_examples
     def test_update_matches_estimator_composition(self, lr_mode, spec, horizon, seed):
         policy = DolRmPolicy(spec, horizon, lr_mode)
         reference = PerArmDolRm(spec, horizon, lr_mode)
@@ -293,17 +325,20 @@ class TestDolRmPolicy:
             a = policy.select(s)
             assert a == (unpulled[0] if unpulled else greedy_arm(r_hats, c_checks, theta))
             assert a == reference.select(s)
-            r, c = spec.arms[s][a]
-            reward = r + spec.noise_sigma * rng.standard_normal()
-            cost = c + spec.noise_sigma * rng.standard_normal()
+            r_hat, c_check = r_hats[a], c_checks[a]
+            if not any(r - theta * c > -math.inf for r, c in zip(r_hats, c_checks)):
+                # nothing comparable (overflowed means): theta steps with the sentinels
+                r_hat, c_check = bounds.r_max, bounds.c_min
+            reward, cost = map(float, sample_feedback(spec, s, a, rng))
             theta = ratio_step(
-                theta, learning_rate(lr_mode, bounds.c_min, horizon, t), r_hats[a], c_checks[a],
+                theta, learning_rate(lr_mode, bounds.c_min, horizon, t), r_hat, c_check,
                 bounds.theta_min, bounds.theta_max,
             )
             shadow.record(s, a, reward, cost)
             policy.update(s, a, reward, cost)
             reference.update(s, a, reward, cost)
             assert policy.theta == reference.theta == theta
+            assert_same_cells(policy.stats, shadow)
             assert policy.reward_ucb[s][a] == ucb_reward(shadow, s, a, horizon, bounds.r_max)
             assert policy.cost_lcb[s][a] == lcb_cost(shadow, s, a, horizon, bounds.c_min)
         # every other cell kept its bounds, the sentinels if it was never pulled
@@ -316,9 +351,6 @@ class TestDolRmPolicy:
             [lcb_cost(shadow, s, b, horizon, bounds.c_min) for b in range(spec.num_arms(s))]
             for s in types
         ]
-        assert policy.stats.counts == shadow.counts
-        assert policy.stats.mean_rewards == shadow.mean_rewards
-        assert policy.stats.mean_costs == shadow.mean_costs
 
 
 class TestFixedMapPolicy:
@@ -424,6 +456,25 @@ class TestThompsonSampling:
         rng = StubRng(normals=[0.0, 1.0, 0.0, 0.0])
         assert ts_policy(stats, rng).select(0) == 1
 
+    @property_run
+    @given(
+        spec=overflow_specs,
+        horizon=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @with_update_examples
+    def test_update_matches_estimator_record(self, spec, horizon, seed):
+        policy = ThompsonSamplingPolicy(spec, stream_rng(seed, POLICY_STREAM))
+        shadow = ArmStatistics.for_spec(spec)
+        rng = np.random.default_rng(seed)
+        for _ in range(horizon):
+            s = int(rng.integers(spec.num_types))
+            a = policy.select(s)
+            reward, cost = map(float, sample_feedback(spec, s, a, rng))
+            shadow.record(s, a, reward, cost)
+            policy.update(s, a, reward, cost)
+            assert_same_cells(policy.stats, shadow)
+
     def test_policy_records_raw_feedback(self, p08):
         policy = ThompsonSamplingPolicy(p08, np.random.default_rng(0))
         assert policy.theta is None
@@ -516,6 +567,21 @@ class TestOracleRm:
     def test_rejects_negative_type(self, p08):
         with pytest.raises(IndexError):
             OracleRmPolicy(p08, horizon=100).select(-1)
+
+
+@pytest.mark.parametrize("kind", ["dolrm", "ts"])
+@pytest.mark.parametrize("s, a", [(-1, 0), (1, -1)])
+def test_in_place_update_rejects_negative_cell(p08, kind, s, a):
+    # Python would read index -1 as the last type or arm and write that cell.
+    policy = make_policy(PolicyKind(kind), p08, 100, DEFAULT_LR_MODE, np.random.default_rng(0))
+    policy.select(1)
+    with pytest.raises(IndexError, match="negative cell index"):
+        policy.update(s, a, 1.0, 1.0)
+    assert policy.stats.counts == [[0], [0, 0]]
+    assert policy.stats.mean_rewards == policy.stats.mean_costs == [[0.0], [0.0, 0.0]]
+    if kind == "dolrm":
+        assert (policy.theta, policy.round) == (derived_bounds(p08).theta_min, 1)
+        assert policy.reward_ucb == [[3.0], [3.0, 3.0]]
 
 
 class TestMakePolicy:

@@ -8,7 +8,11 @@ types have 1, 5 and 8 arms, two of them identical (the presets have at
 most 2 arms per type). All of it runs through the command line:
 ``dolrm run`` and ``dolrm oracle`` per config, and ``dolrm presets`` once.
 Each config runs dolrm, ucb, ts, oracle-rm and a labelled fixed map at
-horizons 1, 50, 500 and 3000, seeds 0-2 and log stride 7. ``golden/digests.json`` holds the digest of every
+horizons 1, 50, 500 and 3000, seeds 0-2 and log stride 7. One more config,
+``two-type-p08-blocks``, runs the same five kinds on ``two-type-p08`` at
+sigma 1, horizon 10 000, seeds 0-1 and the default stride, so each episode
+draws its arrivals and noise over two full harness blocks and a partial
+one. ``golden/digests.json`` holds the digest of every
 output file and of each command's stdout, with the output path replaced by
 ``<out>``. ``resolved_config.json`` is left out because it echoes the
 output path.
@@ -53,11 +57,19 @@ MANY_ARMS_ENV = {
     "noise_sigma": 1.0,
 }
 INLINE_ENVS = {"signed-zero": SIGNED_ZERO_ENV, "many-arms": MANY_ARMS_ENV}
+# 10 000 rounds are two full blocks of 4096 and a partial one.
+BLOCK_SPANNING = {
+    "environment": "two-type-p08",
+    "noise_sigma": 1.0,
+    "horizons": [10_000],
+    "seeds": [0, 1],
+    "log_stride": None,
+}
 UNDIGESTED = {"resolved_config.json"}
 
 
 def sweep_configs():
-    """(name, environment keys, per-type arm counts) of every sweep config."""
+    """(name, config keys, per-type arm counts) of every sweep config."""
     for preset in sorted(PRESETS):
         arms = [len(arms_s) for arms_s in PRESETS[preset]["environment"]["arms"]]
         for lr_mode in LEARNING_RATE_MODES:
@@ -72,6 +84,8 @@ def sweep_configs():
         for lr_mode in LEARNING_RATE_MODES:
             env = {"environment": inline, "environment_name": name, "learning_rate": lr_mode}
             yield f"{name}-{lr_mode}", env, arms
+    arms = [len(arms_s) for arms_s in PRESETS["two-type-p08"]["environment"]["arms"]]
+    yield "two-type-p08-blocks", BLOCK_SPANNING, arms
 
 
 def sha256(data: bytes) -> str:
@@ -91,6 +105,9 @@ def sweep(work: Path) -> dict[str, str]:
     for name, env, arms in sweep_configs():
         out_dir = work / name
         config = {
+            "horizons": HORIZONS,
+            "seeds": SEEDS,
+            "log_stride": LOG_STRIDE,
             **env,
             "policies": [
                 {"kind": "dolrm"},
@@ -99,9 +116,6 @@ def sweep(work: Path) -> dict[str, str]:
                 {"kind": "oracle-rm"},
                 {"kind": "fixed", "actions": [k - 1 for k in arms], "label": "last-arms"},
             ],
-            "horizons": HORIZONS,
-            "seeds": SEEDS,
-            "log_stride": LOG_STRIDE,
             "output_dir": str(out_dir),
         }
         config_path = work / f"{name}.json"

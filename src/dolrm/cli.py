@@ -44,6 +44,15 @@ def _cmd_run(config_path: str) -> int:
             f"mean final ratio {summary.mean_final_ratio:.6g} "
             f"(gap {summary.mean_gap:.3g} over {summary.num_seeds} seeds)"
         )
+        undefined = [
+            str(seed) for seed, ratio in zip(cfg.seeds, summary.final_ratios) if not math.isfinite(ratio)
+        ]
+        if undefined:
+            print(
+                f"warning: {summary.policy} T={summary.horizon}: final ratio is not finite "
+                f"for seed(s) {', '.join(undefined)}",
+                file=sys.stderr,
+            )
     for policy, slope in bundle.gap_slopes.items():
         if slope is not None:
             print(f"gap slope {policy}: {slope:.4f}")

@@ -1,15 +1,16 @@
 """One seeded episode: its three random streams, the decision loop and its trace.
 
 Each episode draws from three streams labeled by (seed, stream): task
-arrivals (``sample_tasks``), feedback noise and the policy's own draws. All
-three are derived here, so a config and a seed fix an episode.
+arrivals (``sample_tasks``), feedback noise (``feedback_noise``) and the
+policy's own draws. All three are derived here, so a config and a seed fix
+an episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Optional
+from itertools import chain, repeat
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,6 +24,11 @@ from .policies import DEFAULT_LR_MODE, PolicyKind, make_policy
 ARRIVAL_STREAM = 0
 FEEDBACK_STREAM = 1
 POLICY_STREAM = 2
+
+# Rounds of arrivals and feedback noise held as Python objects at a time. An
+# episode keeps its arrivals as one int64 array (8 B per round) plus one
+# block of Python ints and floats, however long its horizon.
+BLOCK = 4096
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -43,9 +49,31 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
     """
     last = max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
     cum = np.cumsum(spec.arrival_probs)
-    draws = rng.random(n)
-    idx = np.searchsorted(cum, draws, side="right")
-    return np.minimum(idx, last).astype(np.int64)
+    idx = np.searchsorted(cum, rng.random(n), side="right")
+    np.minimum(idx, last, out=idx)
+    return idx.astype(np.int64, copy=False)
+
+
+def feedback_noise(seed: int, sigma: float, horizon: int) -> Iterator[float]:
+    """Each round's reward noise, then its cost noise, as one stream of floats.
+
+    The normals are drawn ``BLOCK`` rounds at a time. Successive
+    ``standard_normal`` calls continue one stream, so the values are those
+    of one bulk ``standard_normal((horizon, 2)) * sigma`` draw, row by row.
+    A product that overflows is +-inf, with no warning. At sigma 0 the
+    stream is -0.0 forever and draws nothing.
+    """
+    if sigma == 0.0:
+        return repeat(-0.0)
+    rng = stream_rng(seed, FEEDBACK_STREAM)
+
+    def blocks():
+        for start in range(0, horizon, BLOCK):
+            with np.errstate(over="ignore"):
+                block = rng.standard_normal(2 * min(BLOCK, horizon - start)) * sigma
+            yield block.tolist()
+
+    return chain.from_iterable(blocks())
 
 
 def default_stride(horizon: int) -> int:
@@ -106,26 +134,23 @@ def run_episode(
     policy = make_policy(kind, spec, horizon, lr_mode, stream_rng(seed, POLICY_STREAM))
     select = policy.select
     update = policy.update
-    tasks = sample_tasks(spec, horizon, stream_rng(seed, ARRIVAL_STREAM)).tolist()
-    sigma = spec.noise_sigma
-    # One bulk draw consumes the feedback stream exactly like per-round
-    # draws: two normals per round, reward noise first. Scaling by sigma in
-    # numpy gives the same IEEE products as scaling each Python float. At
-    # sigma 0 every addend is -0.0, the one value that leaves each mean,
-    # -0.0 included, unchanged.
-    if sigma > 0.0:
-        noise = stream_rng(seed, FEEDBACK_STREAM).standard_normal((horizon, 2)) * sigma
-        reward_noise = noise[:, 0].tolist()
-        cost_noise = noise[:, 1].tolist()
-    else:
-        reward_noise = cost_noise = repeat(-0.0)
+    task_array = sample_tasks(spec, horizon, stream_rng(seed, ARRIVAL_STREAM))
+    tasks = chain.from_iterable(
+        task_array[start : start + BLOCK].tolist() for start in range(0, horizon, BLOCK)
+    )
+    # Two normals per round, reward noise first: zip pulls noise_r, then
+    # noise_c, from the one iterator. Scaling by sigma in numpy gives the
+    # same IEEE products as scaling each Python float. At sigma 0 every
+    # addend is -0.0, the one value that leaves each mean, -0.0 included,
+    # unchanged.
+    noise = feedback_noise(seed, spec.noise_sigma, horizon)
     arms = spec.arms
 
     rows = []
     cum_r = 0.0
     cum_c = 0.0
     next_row = min(stride, horizon)
-    for t, s, noise_r, noise_c in zip(range(1, horizon + 1), tasks, reward_noise, cost_noise):
+    for t, s, noise_r, noise_c in zip(range(1, horizon + 1), tasks, noise, noise):
         a = select(s)
         r, c = arms[s][a]
         r += noise_r

@@ -25,13 +25,14 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, config_echo
-from .harness import EpisodeTrace, run_episode
+from .harness import BLOCK, EpisodeTrace, run_episode
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
@@ -40,9 +41,19 @@ TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,t
 TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to ``path`` through a ``.tmp`` sibling.
+
+    ``path`` appears only once every chunk is written; if a chunk raises,
+    the ``.tmp`` file is deleted, so a failed write leaves no partial file.
+    """
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    try:
+        with tmp.open("w") as f:
+            f.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -58,7 +69,7 @@ def _finite_or_null(doc: Any) -> Any:
 
 
 def _write_json(path: Path, doc: Any) -> None:
-    _write_atomic(path, json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
+    _write_atomic(path, (json.dumps(_finite_or_null(doc), indent=2, allow_nan=False), "\n"))
 
 
 def trace_run_id(policy: str, horizon: int, seed: int) -> str:
@@ -70,9 +81,9 @@ def write_trace(path: Path, trace: EpisodeTrace) -> None:
     # "%.0s" writes a theta of None as an empty field.
     theta = "%.0s" if trace.rows[-1][8] is None else "%.12g"
     template = head.replace("%", "%%") + TRACE_ROW_FIELDS + theta + "\n"
-    lines = [TRACE_HEADER + "\n"]
-    lines += map(template.__mod__, trace.rows)
-    _write_atomic(path, "".join(lines))
+    rows = trace.rows
+    blocks = ("".join(map(template.__mod__, rows[i : i + BLOCK])) for i in range(0, len(rows), BLOCK))
+    _write_atomic(path, chain((TRACE_HEADER + "\n",), blocks))
 
 
 @dataclass(frozen=True)
@@ -102,14 +113,19 @@ def summarize_finals(
     horizon times that mean.
     """
     ratios = np.asarray(final_ratios, dtype=float)
-    gaps = np.abs(theta_star - ratios)
-    mean_gap = float(gaps.mean())
+    # An infinite ratio makes the statistics inf or NaN without a numpy
+    # warning; `dolrm run` names the seeds of every non-finite ratio instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(theta_star - ratios)
+        mean_gap = float(gaps.mean())
+        mean_ratio = float(ratios.mean())
+        std_ratio = float(ratios.std())
     return ReplicationSummary(
         policy=policy,
         horizon=horizon,
         num_seeds=len(ratios),
-        mean_final_ratio=float(ratios.mean()),
-        std_final_ratio=float(ratios.std()),
+        mean_final_ratio=mean_ratio,
+        std_final_ratio=std_ratio,
         mean_gap=mean_gap,
         mean_regret=horizon * mean_gap,
         final_ratios=tuple(float(x) for x in ratios),
@@ -241,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
             "gap_slopes": gap_slopes,
         },
     )
-    _write_atomic(summary_table_path, _summary_table(summaries, oracle.theta_star))
+    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star),))
 
     return OutputBundle(
         output_dir=out_dir,

@@ -70,7 +70,7 @@ def sample_task(spec: EnvironmentSpec, rng) -> int:
 
 
 def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
-    """Scalar reference for run_episode's bulk noise pre-draw.
+    """Scalar reference for the feedback noise run_episode draws per block.
 
     Consumes exactly two standard normals per call (reward noise first, then
     cost noise) so the stream position depends only on the number of calls;

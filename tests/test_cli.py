@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dolrm
+import dolrm.runner
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
 from dolrm.harness import EpisodeTrace, run_episode
@@ -218,6 +219,16 @@ def test_write_trace_matches_field_by_field_reference(tmp_path_factory, trace):
     assert path.read_text() == reference_trace_csv(trace)
 
 
+def test_failed_trace_write_leaves_no_file(tmp_path, monkeypatch):
+    # the bad row is in the second block, after the first was written
+    monkeypatch.setattr(dolrm.runner, "BLOCK", 2)
+    row = (1, 0, 0, 1.0, 1.0, 1.0, 1.0, 1.0, None)
+    trace = EpisodeTrace("p", 0, 3, [row, row, (3, 0, 0, "not a float", *row[4:])])
+    with pytest.raises(TypeError):
+        write_trace(tmp_path / "trace.csv", trace)
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "dolrm", *args],
@@ -321,6 +332,30 @@ class TestCommandLine:
         doc = json.loads((tmp_path / "results" / "summary.json").read_text())
         assert [row["mean_gap"] is None for row in doc["results"]] == undefined_gaps
         assert doc["gap_slopes"] == {"fixed-0-1": None}
+
+    def test_non_finite_final_ratios_warn_once_per_cell(self, tmp_path):
+        # sigma 1e308 overflows the noise of seed 56 from the first round
+        # and that of seed 0 by the third; seed 1 stays finite
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": "two-type-p08",
+                    "noise_sigma": 1e308,
+                    "policies": [{"kind": "fixed", "actions": [0, 1]}],
+                    "horizons": [1, 3],
+                    "seeds": [0, 1, 56],
+                    "output_dir": str(tmp_path / "results"),
+                }
+            )
+        )
+        proc = run_cli("run", str(config))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "warning: fixed-0-1 T=1: final ratio is not finite for seed(s) 56",
+            "warning: fixed-0-1 T=3: final ratio is not finite for seed(s) 0, 56",
+        ]
+        assert "warning" not in proc.stdout
 
     def test_bad_config_exits_nonzero_with_diagnostic(self, tmp_path):
         config = tmp_path / "cfg.json"

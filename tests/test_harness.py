@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dolrm.harness import (
     FEEDBACK_STREAM,
     POLICY_STREAM,
     default_stride,
+    feedback_noise,
     run_episode,
     sample_tasks,
     stream_rng,
@@ -210,20 +212,45 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="stride"):
             run_episode(p08, DOLRM, 10, 0, stride=0)
 
-    def test_matches_manual_scalar_replay(self, p08):
+    def test_matches_manual_scalar_replay(self, p08, monkeypatch):
         # Every kind, with and without noise, on an environment whose -0.0
         # mean reward must reach the trace unchanged; a stride past the
-        # horizon logs the final round only.
-        horizon = 30
+        # horizon logs the final round only. With blocks of 7 rounds the
+        # horizons end inside the first block, on its last round, one past
+        # it, inside the third block and inside the fifth.
+        monkeypatch.setattr(dolrm.harness, "BLOCK", 7)
         specs = (p08, two_type_env(sigma=0.0), SIGNED_ZERO)
         kinds = (DOLRM, PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("oracle-rm"), REVERSE)
-        for spec in specs:
-            for kind in kinds:
-                for stride in (1, 4, horizon + 1):
-                    trace = run_episode(spec, kind, horizon, 21, stride=stride)
-                    expected = scalar_replay(spec, kind, horizon, 21, stride)
-                    # repr tells -0.0 from 0.0
-                    assert repr(trace.rows) == repr(expected), (spec, kind, stride)
+        for horizon in (6, 7, 8, 15, 30):
+            for spec in specs:
+                for kind in kinds:
+                    for stride in (1, 4, horizon + 1):
+                        trace = run_episode(spec, kind, horizon, 21, stride=stride)
+                        expected = scalar_replay(spec, kind, horizon, 21, stride)
+                        # repr tells -0.0 from 0.0
+                        assert repr(trace.rows) == repr(expected), (horizon, spec, kind, stride)
+
+    @pytest.mark.parametrize("horizon", [14, 15])
+    def test_block_draws_continue_one_bulk_draw(self, monkeypatch, horizon):
+        # two full blocks of 7 rounds, then the same plus one round
+        monkeypatch.setattr(dolrm.harness, "BLOCK", 7)
+        bulk = stream_rng(3, FEEDBACK_STREAM).standard_normal((horizon, 2)) * 1.5
+        assert list(feedback_noise(3, 1.5, horizon)) == bulk.ravel().tolist()
+
+    def test_episode_memory_does_not_grow_per_round(self, p08):
+        # Only the int64 arrivals (8 B per round, 16 B while sample_tasks
+        # searches its uniforms) may grow with the horizon; per-round lists
+        # of Python floats and ints would add about 90 B per round.
+        run_episode(p08, REVERSE, 1_000, 0)
+        peaks = []
+        for horizon in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                run_episode(p08, REVERSE, horizon, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 300_000 < 24
 
 
 def scalar_replay(spec, kind, horizon, seed, stride):

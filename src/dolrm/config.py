@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, TypeVar
 
 from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec, validate_env
-from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, validate_policy_map
+from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, check_distinct_names, validate_policy_map
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_SEED_BASE = 0
@@ -210,10 +210,10 @@ def _parse_policies(raw: dict) -> tuple[PolicyKind, ...]:
     kinds = _list_of(
         entries, "policies", "a non-empty list of policy objects", _parse_policy, non_empty=True
     )
-    names = [k.name for k in kinds]
-    for name in names:
-        if names.count(name) > 1:
-            _fail("policies", f"duplicate policy name {name!r}; set distinct labels")
+    try:
+        check_distinct_names(kinds)
+    except ValueError as err:
+        raise ConfigError(f"policies: {err}") from None
     return kinds
 
 

@@ -1,10 +1,10 @@
 """Decision policies: the double-optimistic ratio learner and its baselines.
 
 Every policy exposes the same sequential interface: ``select(s)`` returns an
-arm index for the arriving task type, ``update(s, a, reward, cost)`` ingests
-that round's feedback. ``update`` must report the arm the preceding
-``select`` returned: the policies carrying a ratio iterate step theta with
-the estimates that decision computed instead of computing them again. All
+arm index for the arriving task type and only reads the policy's state;
+``update(s, a, reward, cost)`` ingests the feedback of playing arm ``a`` on
+type ``s``. The policies carrying a ratio iterate step theta there with
+cell (s, a)'s reward and cost estimates, then fold in the feedback. All
 argmax ties break toward the lowest arm index, and every policy that learns
 from data pulls each unseen arm of an arriving type once before trusting its
 estimates. Policies carrying a ratio iterate expose it as ``theta``; for the
@@ -109,17 +109,26 @@ class PolicyKind:
         return self.kind
 
 
+def check_distinct_names(kinds: Sequence[PolicyKind]) -> None:
+    """Reject two policies of one name: their traces and summary rows would collide."""
+    names = [k.name for k in kinds]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate policy name {name!r}; set distinct labels")
+
+
 class _RatioIterate:
     """Projected ratio iteration shared by the learner and its oracle twin.
 
     Holds theta inside [theta_min, theta_max] and the 1-based round index.
-    ``select`` leaves the played arm's reward and cost estimates in
-    ``_r_hat`` and ``_c_check``; ``update`` moves theta one projected step
-    toward the root of r_hat - theta * c_check with those estimates.
+    ``update(s, a, ...)`` moves theta one projected step toward the root of
+    r_hat - theta * c_check with cell (s, a)'s estimates, which the subclass
+    keeps in ``reward_ucb`` and ``cost_lcb``.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
         bounds = derived_bounds(spec)
+        self.r_max = bounds.r_max
         self.c_min = bounds.c_min
         self.theta_min = bounds.theta_min
         self.theta_max = bounds.theta_max
@@ -130,11 +139,20 @@ class _RatioIterate:
         self._fixed_eta = None if lr_mode == "decaying" else eta
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        if s < 0 or a < 0:
+            raise IndexError(f"negative cell index ({s}, {a})")
+        r_hat = self.reward_ucb[s][a]
+        c_check = self.cost_lcb[s][a]
+        theta = self.theta
+        if not r_hat - theta * c_check > -math.inf:
+            # no score beat -inf (all -inf or NaN): step with the sentinels
+            r_hat = self.r_max
+            c_check = self.c_min
         t = self.round
         eta = self._fixed_eta
         if eta is None:
             eta = 1.0 / (self.c_min * (t + 1))
-        theta = self.theta + eta * (self._r_hat - self.theta * self._c_check)
+        theta += eta * (r_hat - theta * c_check)
         if theta < self.theta_min:
             theta = self.theta_min
         elif theta > self.theta_max:
@@ -149,19 +167,18 @@ class DolRmPolicy(_RatioIterate):
     Each round it scores every arm of the arriving type with an optimistic
     reward UCB min(r_max, mean + sqrt(log T / N)) minus theta times a
     pessimistic cost LCB max(c_min, mean - sqrt(log T / N)), T the horizon,
-    and plays the best score. On feedback it moves theta with the estimates
-    that decision consumed (the r_max / c_min sentinels during forced
-    exploration), and only then folds the observation into the pulled cell
-    of ``stats``: it writes the count and running means in place, with the
-    expression of ``ArmStatistics.record``. Both bounds depend on one
-    cell's statistics alone, so they are kept per cell in ``reward_ucb``
-    and ``cost_lcb``, refreshed from the new means in that same place;
-    unpulled cells hold the sentinels.
+    and plays the best score. Both bounds depend on one cell's statistics
+    alone, so they are kept per cell in ``reward_ucb`` and ``cost_lcb``;
+    unpulled cells hold the r_max / c_min sentinels. ``update(s, a, ...)``
+    first moves theta with cell (s, a)'s bounds, the ones ``select`` scored,
+    and only then folds the observation into that cell of ``stats``: it
+    writes the count and running means in place, with the expression of
+    ``ArmStatistics.record``, and refreshes the cell's two bounds from the
+    new means.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
-        self.r_max = derived_bounds(spec).r_max
         self.stats = ArmStatistics.for_spec(spec)
         self._log_horizon = math.log(horizon)
         self.reward_ucb = [[self.r_max] * len(arms_s) for arms_s in spec.arms]
@@ -172,8 +189,6 @@ class DolRmPolicy(_RatioIterate):
             raise IndexError(f"negative task type {s}")
         counts = self.stats.counts[s]
         if 0 in counts:
-            self._r_hat = self.r_max
-            self._c_check = self.c_min
             return counts.index(0)
         ucb = self.reward_ucb[s]
         lcb = self.cost_lcb[s]
@@ -185,19 +200,9 @@ class DolRmPolicy(_RatioIterate):
             if score > best_score:
                 best_score = score
                 best = a
-        if best_score == -math.inf:
-            # No score beat -inf (every one is -inf or NaN): the lowest arm
-            # is played with the exploration sentinels.
-            self._r_hat = self.r_max
-            self._c_check = self.c_min
-        else:
-            self._r_hat = ucb[best]
-            self._c_check = lcb[best]
         return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
-        if s < 0 or a < 0:
-            raise IndexError(f"negative cell index ({s}, {a})")
         # a direct base call: super() costs a few percent of a round
         _RatioIterate.update(self, s, a, reward, cost)
         stats = self.stats
@@ -362,25 +367,20 @@ class ThompsonSamplingPolicy:
 class OracleRmPolicy(_RatioIterate):
     """Ratio iteration driven by the true means (no estimation).
 
-    Decisions and theta updates both use the exact (r, c) of the played arm;
-    sampled feedback is ignored. Shares the learning-rate schedule with the
-    learner it benchmarks, isolating the effect of estimation error.
+    Its ``reward_ucb`` and ``cost_lcb`` are the true means, bounds of zero
+    width; sampled feedback is ignored. It shares the step and learning-rate
+    schedule of the learner it benchmarks, isolating the estimation error.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
-        self._rewards = [[r for r, _ in arms_s] for arms_s in spec.arms]
-        self._costs = [[c for _, c in arms_s] for arms_s in spec.arms]
+        self.reward_ucb = [[r for r, _ in arms_s] for arms_s in spec.arms]
+        self.cost_lcb = [[c for _, c in arms_s] for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
-        rewards = self._rewards[s]
-        costs = self._costs[s]
-        a = greedy_arm(rewards, costs, self.theta)
-        self._r_hat = rewards[a]
-        self._c_check = costs[a]
-        return a
+        return greedy_arm(self.reward_ucb[s], self.cost_lcb[s], self.theta)
 
 
 def make_policy(

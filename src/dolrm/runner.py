@@ -34,6 +34,7 @@ import numpy as np
 from .config import ExperimentConfig, config_echo
 from .harness import BLOCK, EpisodeTrace, run_episode
 from .oracle import OracleResult, dinkelbach_theta_star, expected_ratio
+from .policies import check_distinct_names
 
 TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,theta"
 # One EpisodeTrace row, t through ratio; write_trace puts the run id and the
@@ -198,6 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     """
     if not cfg.policies:
         raise ValueError("config has no policies to run")
+    check_distinct_names(cfg.policies)
     if not cfg.seeds:
         raise ValueError("config needs at least one seed")
     out_dir = Path(cfg.output_dir)
@@ -207,9 +209,10 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     oracle_path = out_dir / "oracle.json"
     summary_json_path = out_dir / "summary.json"
     summary_table_path = out_dir / "summary.txt"
-    # These are written after the last episode; a run that fails before then
-    # must not leave an earlier run's copies beside its own partial traces.
-    for path in (config_path, oracle_path, summary_json_path, summary_table_path):
+    # An earlier run's outputs go first: neither this run's summary nor, if it
+    # fails, its partial traces may stand beside them.
+    stale = traces_dir.glob("trace-*.csv")
+    for path in (config_path, oracle_path, summary_json_path, summary_table_path, *stale):
         path.unlink(missing_ok=True)
 
     oracle = dinkelbach_theta_star(cfg.environment)

@@ -188,13 +188,11 @@ class PerArmDolRm(DolRmPolicy):
         counts = stats.counts[s]
         r_max = self.r_max
         c_min = self.c_min
-        self._r_hat = r_max
-        self._c_check = c_min
         for a, n in enumerate(counts):
             if n == 0:
                 return a
         # If no score beats -inf (every one is -inf or NaN), the lowest arm
-        # is played with the exploration sentinels.
+        # is played.
         best = 0
         best_score = -math.inf
         for a in range(len(counts)):
@@ -209,8 +207,6 @@ class PerArmDolRm(DolRmPolicy):
             if score > best_score:
                 best_score = score
                 best = a
-                self._r_hat = r_hat
-                self._c_check = c_check
         return best
 
 

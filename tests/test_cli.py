@@ -170,8 +170,24 @@ class TestRunExperiment:
             run_experiment(cfg)
         for name in ("summary.json", "summary.txt", "oracle.json", "resolved_config.json"):
             assert not (first.output_dir / name).exists()
-        # traces are left alone: the earlier run's stay beside the new partial ones
-        assert all(path.exists() for path in first.trace_paths)
+        # the earlier run's traces are gone too: only the two episodes the
+        # crashed run finished left a trace
+        assert sorted((first.output_dir / "traces").iterdir()) == sorted(first.trace_paths[:2])
+
+    def test_duplicate_names_rejected_before_running(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path, policies=(PolicyKind("dolrm"), PolicyKind("dolrm")), horizons=(10, 20, 40)
+        )
+        with pytest.raises(ValueError, match="duplicate policy name 'dolrm'"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_rerun_replaces_earlier_traces(self, tmp_path):
+        run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),), seeds=(0, 1, 2)))
+        out = run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),), seeds=(0,)))
+        assert [path.name for path in (out.output_dir / "traces").iterdir()] == [
+            "trace-dolrm-T50-seed0.csv"
+        ]
 
     def test_gap_slopes_reported_for_horizon_grids(self, tmp_path):
         cfg = tiny_config(

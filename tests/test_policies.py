@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from support import (
     lcb_cost,
     ratio_step,
     sample_feedback,
+    seven_type_env,
     two_type_env,
     ucb_reward,
 )
@@ -290,6 +292,14 @@ class TestDolRmPolicy:
         policy.update(0, 0, reward=0.0, cost=0.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
 
+    def test_update_without_select_steps_with_the_cell_sentinels(self, p08):
+        policy = DolRmPolicy(p08, horizon=100)
+        policy.theta = 1.0
+        # sentinels r_max=3, c_min=1; round 1 decaying -> eta 0.5
+        policy.update(1, 1, reward=0.0, cost=0.0)
+        assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
+        assert policy.stats.counts == [[0], [0, 1]]
+
     @pytest.mark.parametrize(
         "mean_reward,mean_cost", [(3.0, math.inf), (3.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)]
     )
@@ -539,6 +549,24 @@ class TestOracleRm:
         assert policy.theta == 2.0 + 0.5 * (3.0 - 2.0 * 2.0)
         assert policy.round == 2
 
+    def test_update_without_select_steps_with_the_cell_means(self, p08):
+        policy = OracleRmPolicy(p08, horizon=100)
+        policy.theta = 1.0
+        # arm 1 of type 1 has true means (1, 1); round 1 decaying -> eta 0.5
+        policy.update(1, 1, reward=999.0, cost=-999.0)
+        assert policy.theta == 1.0 + 0.5 * (1.0 - 1.0 * 1.0)
+
+    def test_overflowing_score_steps_with_the_sentinels(self):
+        # theta * 1e10 overflows to inf, so the played arm's score is -inf
+        # and theta steps with r_max=1e300, c_min=1e-5, as dolrm's does
+        spec = EnvironmentSpec((0.5, 0.5), (((1e300, 1e-5),), ((1.0, 1e10),)), 0.0)
+        policy = OracleRmPolicy(spec, horizon=10)
+        policy.theta = 1e300
+        assert policy.select(1) == 0
+        policy.update(1, 0, reward=1.0, cost=1e10)
+        eta = 1.0 / (1e-5 * 2)
+        assert policy.theta == 1e300 + eta * (1e300 - 1e300 * 1e-5)
+
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
@@ -569,19 +597,49 @@ class TestOracleRm:
             OracleRmPolicy(p08, horizon=100).select(-1)
 
 
-@pytest.mark.parametrize("kind", ["dolrm", "ts"])
+@pytest.mark.parametrize("kind", ["dolrm", "ts", "oracle-rm"])
 @pytest.mark.parametrize("s, a", [(-1, 0), (1, -1)])
 def test_in_place_update_rejects_negative_cell(p08, kind, s, a):
-    # Python would read index -1 as the last type or arm and write that cell.
+    # Python would read index -1 as the last type or arm and use that cell.
     policy = make_policy(PolicyKind(kind), p08, 100, DEFAULT_LR_MODE, np.random.default_rng(0))
     policy.select(1)
     with pytest.raises(IndexError, match="negative cell index"):
         policy.update(s, a, 1.0, 1.0)
-    assert policy.stats.counts == [[0], [0, 0]]
-    assert policy.stats.mean_rewards == policy.stats.mean_costs == [[0.0], [0.0, 0.0]]
-    if kind == "dolrm":
+    if kind != "oracle-rm":
+        assert policy.stats.counts == [[0], [0, 0]]
+        assert policy.stats.mean_rewards == policy.stats.mean_costs == [[0.0], [0.0, 0.0]]
+    if kind != "ts":
         assert (policy.theta, policy.round) == (derived_bounds(p08).theta_min, 1)
+    if kind == "dolrm":
         assert policy.reward_ucb == [[3.0], [3.0, 3.0]]
+
+
+@pytest.mark.parametrize("kind", ["dolrm", "oracle-rm", "ucb", "fixed"])
+def test_select_writes_nothing(kind):
+    # ts is left out: each of its decisions consumes draws of its stream.
+    spec = seven_type_env()
+    policy_kind = PolicyKind(kind, (0,) * 7) if kind == "fixed" else PolicyKind(kind)
+    policy = make_policy(policy_kind, spec, 1000, DEFAULT_LR_MODE, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    # feedback on each type's arms in turn, so the greedy paths run; and no
+    # select before the snapshot, so an attribute that select adds shows
+    for t in range(60):
+        s = int(rng.integers(spec.num_types))
+        a = t % spec.num_arms(s)
+        policy.update(s, a, *map(float, sample_feedback(spec, s, a, rng)))
+
+    def state():
+        # ArmStatistics compares by identity, so its lists stand in for it
+        return {
+            name: (v.counts, v.mean_rewards, v.mean_costs) if isinstance(v, ArmStatistics) else v
+            for name, v in vars(policy).items()
+        }
+
+    before = copy.deepcopy(state())
+    for _ in range(3):
+        for s in range(spec.num_types):
+            policy.select(s)
+    assert state() == before
 
 
 class TestMakePolicy:

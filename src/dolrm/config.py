@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, TypeVar
 
-from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec, validate_env
-from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, check_distinct_names, validate_policy_map
+from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec
+from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, validate_policy_map
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_SEED_BASE = 0
@@ -71,7 +71,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (presets expanded, defaults filled)."""
+    """Fully resolved experiment description (presets expanded, defaults filled).
+
+    Building one checks every rule of a config, so a config in hand always
+    runs. The errors name the config file's keys, whether the config was
+    parsed or built in Python.
+
+    Raises:
+        ConfigError: naming the key of the first rule broken.
+    """
 
     environment: EnvironmentSpec
     environment_name: str
@@ -81,6 +89,35 @@ class ExperimentConfig:
     lr_mode: str
     output_dir: str
     log_stride: Optional[int]
+
+    def __post_init__(self) -> None:
+        for key, values in (("policies", self.policies), ("horizons", self.horizons), ("seeds", self.seeds)):
+            if not values:
+                _fail(key, f"no {key} to run (expected a non-empty list)")
+        names = [kind.name for kind in self.policies]
+        for name in names:
+            if names.count(name) > 1:
+                _fail("policies", f"duplicate policy name {name!r}; set distinct labels")
+        for kind in self.policies:
+            if kind.kind == "fixed":
+                try:
+                    validate_policy_map(self.environment, kind.actions)
+                except ValueError as err:
+                    raise ConfigError(f"policies: fixed policy {kind.name!r}: {err}") from None
+        _at_least(self.horizons[0], 1, "horizons[0]")
+        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
+            _fail("horizons", "must be strictly increasing")
+        if len(set(self.seeds)) != len(self.seeds):
+            _fail("seeds", "seed values must be unique")
+        if min(self.seeds) < 0:
+            _fail("seeds", "seed values must be >= 0")
+        if self.lr_mode not in LEARNING_RATE_MODES:
+            _fail(
+                "learning_rate",
+                f"unknown mode {self.lr_mode!r}; expected one of {LEARNING_RATE_MODES}",
+            )
+        if self.log_stride is not None:
+            _at_least(self.log_stride, 1, "log_stride")
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -101,19 +138,16 @@ def _reject_unknown(obj: dict, allowed: set[str], prefix: str = "") -> None:
         _fail(prefix + sorted(unknown)[0], "unknown key")
 
 
-def _list_of(
-    value: Any, path: str, expected: str, item: Callable[[Any, str], _T], non_empty: bool = False
-) -> tuple[_T, ...]:
+def _list_of(value: Any, path: str, expected: str, item: Callable[[Any, str], _T]) -> tuple[_T, ...]:
     """Each element of a JSON list parsed by item(element, "<path>[<index>]")."""
-    if not isinstance(value, list) or (non_empty and not value):
+    if not isinstance(value, list):
         _fail(path, f"expected {expected}")
     return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _at_least(value: int, minimum: int, path: str) -> int:
+def _at_least(value: int, minimum: int, path: str) -> None:
     if value < minimum:
         _fail(path, f"must be >= {minimum} (got {value})")
-    return value
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -180,9 +214,8 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
             )
     _reject_unknown(env, {"arrival_probs", "arms", "noise_sigma"}, "environment.")
 
-    spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma)
     try:
-        validate_env(spec)
+        spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma)
     except ValueError as err:
         raise ConfigError(f"environment: {err}") from None
     return spec, name
@@ -205,48 +238,26 @@ def _parse_policy(entry: Any, path: str) -> PolicyKind:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_policies(raw: dict) -> tuple[PolicyKind, ...]:
-    entries = _require(raw, "policies", "policies")
-    kinds = _list_of(
-        entries, "policies", "a non-empty list of policy objects", _parse_policy, non_empty=True
-    )
-    try:
-        check_distinct_names(kinds)
-    except ValueError as err:
-        raise ConfigError(f"policies: {err}") from None
-    return kinds
-
-
 def _parse_horizons(raw: dict) -> tuple[int, ...]:
     if "horizons" not in raw:
         horizon = _require(raw, "horizon", "horizon", " ('horizon' or 'horizons')")
-        return (_at_least(_as_int(horizon, "horizon"), 1, "horizon"),)
+        return (_as_int(horizon, "horizon"),)
     if "horizon" in raw:
         _fail("horizon", "give either 'horizon' or 'horizons', not both")
-    grid = _list_of(
-        raw["horizons"], "horizons", "a non-empty list of integers", _as_int, non_empty=True
-    )
-    _at_least(grid[0], 1, "horizons[0]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        _fail("horizons", "must be strictly increasing")
-    return grid
+    return _list_of(raw["horizons"], "horizons", "a list of integers", _as_int)
 
 
 def _parse_seeds(raw: dict) -> tuple[int, ...]:
     seeds = {} if raw.get("seeds") is None else raw["seeds"]
     if isinstance(seeds, list):
-        out = _list_of(seeds, "seeds", "a non-empty list", _as_int, non_empty=True)
-        if len(set(out)) != len(out):
-            _fail("seeds", "seed values must be unique")
-        if min(out) < 0:
-            _fail("seeds", "seed values must be >= 0")
-        return out
+        return _list_of(seeds, "seeds", "a list of integers", _as_int)
     if isinstance(seeds, dict):
         _reject_unknown(seeds, {"count", "base"}, "seeds.")
         count = _as_int(seeds.get("count", DEFAULT_SEED_COUNT), "seeds.count")
         base = _as_int(seeds.get("base", DEFAULT_SEED_BASE), "seeds.base")
+        # name the count behind an empty range; a negative base leaves
+        # negative seeds, which ExperimentConfig rejects
         _at_least(count, 1, "seeds.count")
-        _at_least(base, 0, "seeds.base")
         return tuple(range(base, base + count))
     _fail("seeds", f"expected a list or a count/base object, got {type(seeds).__name__}")
 
@@ -254,9 +265,12 @@ def _parse_seeds(raw: dict) -> tuple[int, ...]:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and fully resolve a JSON experiment config.
 
+    Parsing turns JSON into typed values; ``ExperimentConfig`` then checks
+    the rules that relate them.
+
     Raises:
-        ConfigError: on unreadable JSON, unknown presets, missing keys, or
-            type mismatches, each naming the offending key path.
+        ConfigError: on unreadable JSON, unknown presets, missing keys, type
+            mismatches or a broken rule, each naming the offending key path.
     """
     path = Path(path)
     try:
@@ -274,39 +288,18 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         _as_number(raw["noise_sigma"], "noise_sigma") if "noise_sigma" in raw else None
     )
     environment, env_name = _parse_environment(raw, sigma_override)
-    policies = _parse_policies(raw)
-    horizons = _parse_horizons(raw)
-    seeds = _parse_seeds(raw)
-
-    lr_mode = _as_str(raw.get("learning_rate", DEFAULT_LR_MODE), "learning_rate")
-    if lr_mode not in LEARNING_RATE_MODES:
-        _fail(
-            "learning_rate",
-            f"unknown mode {lr_mode!r}; expected one of {LEARNING_RATE_MODES}",
-        )
-
-    output_dir = _as_str(raw.get("output_dir", DEFAULT_OUTPUT_DIR), "output_dir")
-
     log_stride = raw.get("log_stride")
-    if log_stride is not None:
-        log_stride = _at_least(_as_int(log_stride, "log_stride"), 1, "log_stride")
-
-    for kind in policies:
-        if kind.kind == "fixed":
-            try:
-                validate_policy_map(environment, kind.actions)
-            except ValueError as err:
-                raise ConfigError(f"policies: fixed policy {kind.name!r}: {err}") from None
-
     return ExperimentConfig(
         environment=environment,
         environment_name=env_name,
-        policies=policies,
-        horizons=horizons,
-        seeds=seeds,
-        lr_mode=lr_mode,
-        output_dir=output_dir,
-        log_stride=log_stride,
+        policies=_list_of(
+            _require(raw, "policies", "policies"), "policies", "a list of policy objects", _parse_policy
+        ),
+        horizons=_parse_horizons(raw),
+        seeds=_parse_seeds(raw),
+        lr_mode=_as_str(raw.get("learning_rate", DEFAULT_LR_MODE), "learning_rate"),
+        output_dir=_as_str(raw.get("output_dir", DEFAULT_OUTPUT_DIR), "output_dir"),
+        log_stride=None if log_stride is None else _as_int(log_stride, "log_stride"),
     )
 
 

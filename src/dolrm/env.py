@@ -7,7 +7,8 @@ cost.
 Observations are the means corrupted by additive Gaussian noise.
 
 This module is the model alone: the spec, its validation and its derived
-bounds. It draws nothing and imports no numpy; the seeded arrival and
+bounds. A spec validates itself when it is built, so every spec in hand is
+valid. It draws nothing and imports no numpy; the seeded arrival and
 noise draws live in ``harness``.
 """
 
@@ -28,6 +29,9 @@ class EnvironmentSpec:
         arms: per type, a non-empty tuple of (mean_reward, mean_cost) pairs.
         noise_sigma: standard deviation of the additive Gaussian noise
             applied to both reward and cost samples.
+
+    Raises:
+        ValueError: if a field breaks a rule of ``validate_env``.
     """
 
     arrival_probs: tuple[float, ...]
@@ -45,6 +49,7 @@ class EnvironmentSpec:
                 tuple((float(r), float(c)) for r, c in arms_s) for arms_s in self.arms
             ),
         )
+        validate_env(self)
 
     @property
     def num_types(self) -> int:

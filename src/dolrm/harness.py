@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .env import EnvironmentSpec, validate_env
+from .env import EnvironmentSpec
 from .policies import DEFAULT_LR_MODE, PolicyKind, make_policy
 
 # Stream labels for the per-episode RNG split. Keeping arrival, feedback and
@@ -123,7 +123,6 @@ def run_episode(
     from (seed, stream label), so identical (config, seed) pairs reproduce
     identical traces.
     """
-    spec = validate_env(spec)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 (got {horizon})")
     if stride is None:
@@ -131,7 +130,8 @@ def run_episode(
     elif stride < 1:
         raise ValueError(f"stride must be >= 1 (got {stride})")
 
-    policy = make_policy(kind, spec, horizon, lr_mode, stream_rng(seed, POLICY_STREAM))
+    policy_rng = stream_rng(seed, POLICY_STREAM) if kind.kind == "ts" else None
+    policy = make_policy(kind, spec, horizon, lr_mode, policy_rng)
     select = policy.select
     update = policy.update
     task_array = sample_tasks(spec, horizon, stream_rng(seed, ARRIVAL_STREAM))

@@ -109,14 +109,6 @@ class PolicyKind:
         return self.kind
 
 
-def check_distinct_names(kinds: Sequence[PolicyKind]) -> None:
-    """Reject two policies of one name: their traces and summary rows would collide."""
-    names = [k.name for k in kinds]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"duplicate policy name {name!r}; set distinct labels")
-
-
 class _RatioIterate:
     """Projected ratio iteration shared by the learner and its oracle twin.
 
@@ -388,9 +380,12 @@ def make_policy(
     spec: EnvironmentSpec,
     horizon: int,
     lr_mode: str,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ):
-    """Instantiate the policy described by ``kind`` for one episode."""
+    """Instantiate the policy described by ``kind`` for one episode.
+
+    Only ``ts`` draws from ``rng``; the other kinds ignore it.
+    """
     if kind.kind == "dolrm":
         return DolRmPolicy(spec, horizon, lr_mode)
     if kind.kind == "fixed":

@@ -147,12 +147,9 @@ class TestRunExperiment:
         assert out.summaries[0].std_final_ratio == 0.0
 
     def test_empty_policies_rejected_before_running(self, tmp_path):
-        cfg = tiny_config(tmp_path, policies=())
         with pytest.raises(ValueError, match="no policies"):
-            run_experiment(cfg)
-        assert not (tmp_path / "out" / "traces").exists() or not list(
-            (tmp_path / "out" / "traces").iterdir()
-        )
+            tiny_config(tmp_path, policies=())
+        assert not (tmp_path / "out").exists()
 
     def test_crashed_rerun_leaves_no_summary(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
@@ -175,11 +172,10 @@ class TestRunExperiment:
         assert sorted((first.output_dir / "traces").iterdir()) == sorted(first.trace_paths[:2])
 
     def test_duplicate_names_rejected_before_running(self, tmp_path):
-        cfg = tiny_config(
-            tmp_path, policies=(PolicyKind("dolrm"), PolicyKind("dolrm")), horizons=(10, 20, 40)
-        )
         with pytest.raises(ValueError, match="duplicate policy name 'dolrm'"):
-            run_experiment(cfg)
+            tiny_config(
+                tmp_path, policies=(PolicyKind("dolrm"), PolicyKind("dolrm")), horizons=(10, 20, 40)
+            )
         assert not (tmp_path / "out").exists()
 
     def test_rerun_replaces_earlier_traces(self, tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,8 @@ from dolrm.config import (
 )
 from dolrm.env import EnvironmentSpec
 from dolrm.policies import PolicyKind
+
+from support import two_type_env
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -213,6 +217,10 @@ class TestHorizonsAndScalars:
         with pytest.raises(ConfigError, match="horizon.*missing"):
             parse_config(write_config(tmp_path, payload))
 
+    def test_scalar_horizon_below_one_is_named_as_the_grid_entry(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"horizons\[0\]: must be >= 1 \(got 0\)"):
+            parse(tmp_path, horizon=0)
+
     def test_horizon_type_mismatch_names_the_key(self, tmp_path):
         with pytest.raises(ConfigError, match="horizon.*expected an integer, got str"):
             parse(tmp_path, horizon="1000")
@@ -284,3 +292,46 @@ def test_resolved_echo_round_trips(tmp_path):
     )
     path = write_config(tmp_path, config_echo(cfg), "echo.json")
     assert parse_config(path) == cfg
+
+
+# One case per rule that ExperimentConfig checks: the fields that break it
+# and the start of the error it gives.
+BROKEN_RULES = [
+    ({"policies": ()}, "policies: no policies to run"),
+    ({"policies": (PolicyKind("dolrm"), PolicyKind("dolrm"))}, "policies: duplicate policy name 'dolrm'"),
+    ({"policies": (PolicyKind("fixed", (0,)),)}, "policies: fixed policy 'fixed-0': policy map has 1 actions"),
+    ({"policies": (PolicyKind("fixed", (3, 0)),)}, "policies: fixed policy 'fixed-3-0': actions[0] = 3 out of range"),
+    ({"horizons": ()}, "horizons: no horizons to run"),
+    ({"horizons": (0, 10)}, "horizons[0]: must be >= 1 (got 0)"),
+    ({"horizons": (50, 50)}, "horizons: must be strictly increasing"),
+    ({"horizons": (100, 50)}, "horizons: must be strictly increasing"),
+    ({"seeds": ()}, "seeds: no seeds to run"),
+    ({"seeds": (0, 0)}, "seeds: seed values must be unique"),
+    ({"seeds": (3, -1)}, "seeds: seed values must be >= 0"),
+    ({"lr_mode": "adagrad"}, "learning_rate: unknown mode 'adagrad'"),
+    ({"log_stride": 0}, "log_stride: must be >= 1 (got 0)"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", BROKEN_RULES, ids=[m for _, m in BROKEN_RULES])
+def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, message):
+    out = tmp_path / "out"
+    fields = {
+        "environment": two_type_env(sigma=0.0),
+        "environment_name": "two-type-p08",
+        "policies": (PolicyKind("dolrm"),),
+        "horizons": (50,),
+        "seeds": (0, 1),
+        "lr_mode": "decaying",
+        "output_dir": str(out),
+        "log_stride": None,
+        **overrides,
+    }
+    with pytest.raises(ConfigError, match=re.escape(message)) as built:
+        ExperimentConfig(**fields)
+    # the same values as a config file: config_echo reads only the fields
+    path = write_config(tmp_path, config_echo(SimpleNamespace(**fields)))
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(path)
+    assert str(parsed.value) == str(built.value)
+    assert not out.exists()

@@ -17,58 +17,49 @@ class TestValidation:
         assert validate_env(p08) is p08
 
     def test_rejects_non_normalized_probs(self):
-        spec = EnvironmentSpec((0.5, 0.6), (((1.0, 1.0),), ((1.0, 1.0),)))
         with pytest.raises(ValueError, match=r"arrival_probs sum 1\.1 != 1"):
-            validate_env(spec)
+            EnvironmentSpec((0.5, 0.6), (((1.0, 1.0),), ((1.0, 1.0),)))
 
     def test_rejects_zero_mean_cost(self):
-        spec = EnvironmentSpec((1.0,), (((2.0, 0.0),),))
         with pytest.raises(ValueError, match=r"arms\[0\]\[0\].*mean_cost must be positive"):
-            validate_env(spec)
+            EnvironmentSpec((1.0,), (((2.0, 0.0),),))
 
     def test_rejects_negative_mean_cost_at_named_cell(self):
-        spec = EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 1.0), (1.0, -2.0))))
         with pytest.raises(ValueError, match=r"arms\[1\]\[1\]"):
-            validate_env(spec)
+            EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 1.0), (1.0, -2.0))))
 
     def test_rejects_empty_prob_vector(self):
         with pytest.raises(ValueError, match="non-empty"):
-            validate_env(EnvironmentSpec((), ()))
+            EnvironmentSpec((), ())
 
     def test_rejects_arm_list_length_mismatch(self):
-        spec = EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),),))
         with pytest.raises(ValueError, match="arms has 1 entries"):
-            validate_env(spec)
+            EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),),))
 
     def test_rejects_negative_probability(self):
-        spec = EnvironmentSpec((1.2, -0.2), (((1.0, 1.0),), ((1.0, 1.0),)))
         with pytest.raises(ValueError, match=r"arrival_probs\[1\]"):
-            validate_env(spec)
+            EnvironmentSpec((1.2, -0.2), (((1.0, 1.0),), ((1.0, 1.0),)))
 
     def test_rejects_type_with_no_arms(self):
-        spec = EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ()))
         with pytest.raises(ValueError, match=r"arms\[1\] must contain at least one arm"):
-            validate_env(spec)
+            EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ()))
 
     def test_rejects_negative_noise_sigma(self):
-        spec = EnvironmentSpec((1.0,), (((1.0, 1.0),),), noise_sigma=-0.5)
         with pytest.raises(ValueError, match="noise_sigma"):
-            validate_env(spec)
+            EnvironmentSpec((1.0,), (((1.0, 1.0),),), noise_sigma=-0.5)
 
     def test_rejects_negative_mean_reward_at_named_cell(self):
         # theta_min = -6 / 4 would exceed theta_max = -4 / 0.5 here, and the
         # learner's theta would sit at theta_min for the whole run
-        spec = EnvironmentSpec((0.5, 0.5), (((-4, 0.5), (-6, 4)), ((-4, 4),)), 0)
         with pytest.raises(ValueError, match=r"arms\[0\]\[0\]: mean_reward must be finite and >= 0"):
-            validate_env(spec)
+            EnvironmentSpec((0.5, 0.5), (((-4, 0.5), (-6, 4)), ((-4, 4),)), 0)
 
     @pytest.mark.parametrize("reward", [0.0, 1.0])
     def test_rejects_mean_cost_whose_reciprocal_overflows(self, reward):
         # 1 / 1e-320 is inf: the learner's step size would be inf and theta
         # NaN (reward 0), or theta_max inf and the oracle unbounded (reward 1)
-        spec = EnvironmentSpec((1.0,), (((reward, 1.0), (reward, 1e-320)),), 0)
         with pytest.raises(ValueError, match=r"arms\[0\]\[1\]: mean_cost 1e-320 is too small"):
-            validate_env(spec)
+            EnvironmentSpec((1.0,), (((reward, 1.0), (reward, 1e-320)),), 0)
 
     def test_accepts_small_mean_cost_with_finite_bounds(self):
         spec = EnvironmentSpec((1.0,), (((1.0, 1e-300), (1.0, 1.0)),), 0)

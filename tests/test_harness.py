@@ -75,9 +75,14 @@ class TestStreams:
 
                 return call
 
+        policy_streams = []
+
         def recording_stream_rng(seed, stream):
             rng = stream_rng(seed, stream)
-            return rng if stream == POLICY_STREAM else RecordingRng(stream, rng)
+            if stream == POLICY_STREAM:
+                policy_streams.append(kind.kind)
+                return rng
+            return RecordingRng(stream, rng)
 
         monkeypatch.setattr(dolrm.harness, "stream_rng", recording_stream_rng)
         kinds = [PolicyKind(k, (0, 1) if k == "fixed" else None) for k in POLICY_KINDS]
@@ -89,6 +94,8 @@ class TestStreams:
         assert sorted({stream for stream, *_ in draws[0]}) == [ARRIVAL_STREAM, FEEDBACK_STREAM]
         assert all(kind_draws == draws[0] for kind_draws in draws)
         assert all(tasks == task_columns[0] for tasks in task_columns)
+        # only ts draws from its own stream, so only ts gets a generator for it
+        assert policy_streams == ["ts"]
 
     def test_default_stride(self):
         assert default_stride(10) == 1

@@ -159,7 +159,10 @@ def run_episode(
         cum_r += r
         cum_c += c
         if t == next_row:
-            next_row = min(t + stride, horizon)
+            # an add and a compare: min() is a builtin call per logged row
+            next_row = t + stride
+            if next_row > horizon:
+                next_row = horizon
             rows.append((t, s, a, r, c, cum_r, cum_c, cum_r / cum_c, policy.theta))
 
     return EpisodeTrace(kind.name, seed, horizon, rows)

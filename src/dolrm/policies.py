@@ -7,8 +7,9 @@ type ``s``. The policies carrying a ratio iterate step theta there with
 cell (s, a)'s reward and cost estimates, then fold in the feedback. All
 argmax ties break toward the lowest arm index, and every policy that learns
 from data pulls each unseen arm of an arriving type once before trusting its
-estimates. Policies carrying a ratio iterate expose it as ``theta``; for the
-others ``theta`` is None.
+estimates. A type with one arm is played without scoring, except by ts,
+whose stream contract has it consume its draws first. Policies carrying a
+ratio iterate expose it as ``theta``; for the others ``theta`` is None.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ class _RatioIterate:
         self.theta_max = bounds.theta_max
         self.theta = bounds.theta_min
         self.round = 1
+        self._single_arm = [len(arms_s) == 1 for arms_s in spec.arms]
         # Called for either mode so that an unknown mode fails here.
         eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
         self._fixed_eta = None if lr_mode == "decaying" else eta
@@ -179,6 +181,8 @@ class DolRmPolicy(_RatioIterate):
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
+        if self._single_arm[s]:
+            return 0
         counts = self.stats.counts[s]
         if 0 in counts:
             return counts.index(0)
@@ -254,10 +258,13 @@ class ClassicUcbPolicy:
     def __init__(self, spec: EnvironmentSpec):
         self.stats = ArmStatistics.for_spec(spec)
         self.round = 1
+        self._single_arm = [len(arms_s) == 1 for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
+        if self._single_arm[s]:
+            return 0
         t = self.round
         counts = self.stats.counts[s]
         if 0 in counts:
@@ -372,6 +379,8 @@ class OracleRmPolicy(_RatioIterate):
     def select(self, s: int) -> int:
         if s < 0:
             raise IndexError(f"negative task type {s}")
+        if self._single_arm[s]:
+            return 0
         return greedy_arm(self.reward_ucb[s], self.cost_lcb[s], self.theta)
 
 

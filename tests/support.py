@@ -1,8 +1,8 @@
 """Shared test helpers: the reference environments, the scalar samplers, the
 readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
-the oracle, the per-arm dolrm decision, per-call Thompson sampling and the
-trace CSV line) and a stub generator.
+the oracle, the per-arm dolrm decision, per-call Thompson sampling, UCB1 on
+the ratio signal and the trace CSV line) and a stub generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -243,6 +243,44 @@ class PerCallThompsonSampling(ThompsonSamplingPolicy):
                 best_score = score
                 best = a
         return best
+
+
+class ReferenceUcb1:
+    """Readable reference for ClassicUcbPolicy: UCB1 on the floored ratio signal.
+
+    Feeds each observation's rho = R / C, with a cost at or below
+    ``cost_floor`` replaced by it, through an ArmStatistics shadow with
+    ``record``. It plays the lowest unpulled arm of the arriving type first,
+    and otherwise scores every arm, a lone one too, by
+    mean + sqrt(2 log t / N), t the 1-based round. The first arm with the
+    highest score is played; a NaN score never wins, and if no score beats
+    -inf the lowest arm is played.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, cost_floor: float):
+        self.stats = ArmStatistics.for_spec(spec)
+        self.cost_floor = cost_floor
+        self.round = 1
+
+    def select(self, s: int) -> int:
+        counts = self.stats.counts[s]
+        for a, n in enumerate(counts):
+            if n == 0:
+                return a
+        means = self.stats.mean_rewards[s]
+        scores = [means[a] + math.sqrt(2.0 * math.log(self.round) / n) for a, n in enumerate(counts)]
+        best = 0
+        best_score = -math.inf
+        for a, score in enumerate(scores):
+            if score > best_score:
+                best_score = score
+                best = a
+        return best
+
+    def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        denom = cost if cost > self.cost_floor else self.cost_floor
+        self.stats.record(s, a, reward / denom, cost)
+        self.round += 1
 
 
 def reference_trace_csv(trace: EpisodeTrace) -> str:

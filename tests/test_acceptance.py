@@ -38,6 +38,8 @@ from support import (
 from test_cli import tiny_config
 from test_oracle import random_spec
 
+pytestmark = pytest.mark.acceptance
+
 HORIZON = 100_000
 SEEDS = tuple(range(20))
 LEARNERS = ("dolrm", "ucb", "ts", "oracle-rm")

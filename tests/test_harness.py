@@ -208,6 +208,9 @@ class TestRunEpisode:
         assert run_episode(p08, DOLRM, 10, 0, stride=1).rounds == list(range(1, 11))
         assert run_episode(p08, DOLRM, 10, 0, stride=3).rounds == [3, 6, 9, 10]
         assert run_episode(p08, DOLRM, 10, 0, stride=7).rounds == [7, 10]
+        assert run_episode(p08, DOLRM, 10, 0, stride=9).rounds == [9, 10]
+        assert run_episode(p08, DOLRM, 10, 0, stride=10).rounds == [10]
+        assert run_episode(p08, DOLRM, 1, 0, stride=5).rounds == [1]
 
     def test_final_round_always_logged(self, p08):
         trace = run_episode(p08, DOLRM, 1_001, 0, stride=500)

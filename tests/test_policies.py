@@ -28,6 +28,7 @@ from dolrm.policies import (
 from support import (
     PerArmDolRm,
     PerCallThompsonSampling,
+    ReferenceUcb1,
     StubRng,
     lcb_cost,
     ratio_step,
@@ -102,7 +103,10 @@ def assert_same_cells(stats, shadow):
 
 
 def ucb_policy(stats, t):
-    policy = ClassicUcbPolicy(two_type_env())
+    # an environment with as many arms per type as stats has cells, so a
+    # type's arm count and its cells agree
+    arms = tuple(((1.0, 1.0),) * len(row) for row in stats.counts)
+    policy = ClassicUcbPolicy(EnvironmentSpec((1.0 / len(arms),) * len(arms), arms, 1.0))
     policy.stats = stats
     policy.round = t
     return policy
@@ -418,6 +422,27 @@ class TestUcbBaseline:
         assert policy.stats.mean_costs[1][1] == -0.5
         assert policy.round == 3
 
+    @property_run
+    @given(
+        spec=overflow_specs,
+        horizon=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @with_update_examples
+    def test_matches_ucb1_reference(self, spec, horizon, seed):
+        policy = ClassicUcbPolicy(spec)
+        reference = ReferenceUcb1(spec, ClassicUcbPolicy.cost_floor)
+        rng = np.random.default_rng(seed)
+        for _ in range(horizon):
+            s = int(rng.integers(spec.num_types))
+            a = policy.select(s)
+            assert a == reference.select(s)
+            reward, cost = map(float, sample_feedback(spec, s, a, rng))
+            policy.update(s, a, reward, cost)
+            reference.update(s, a, reward, cost)
+            assert policy.round == reference.round
+            assert_same_cells(policy.stats, reference.stats)
+
 
 class TestThompsonSampling:
     def degenerate_stats(self):
@@ -574,6 +599,7 @@ class TestOracleRm:
         horizon=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @with_update_examples
     def test_matches_ratio_step_on_true_means(self, lr_mode, spec, horizon, seed):
         policy = OracleRmPolicy(spec, horizon, lr_mode)
         bounds = derived_bounds(spec)

@@ -3,13 +3,16 @@
 Every policy exposes the same sequential interface: ``select(s)`` returns an
 arm index for the arriving task type and only reads the policy's state;
 ``update(s, a, reward, cost)`` ingests the feedback of playing arm ``a`` on
-type ``s``. The policies carrying a ratio iterate step theta there with
-cell (s, a)'s reward and cost estimates, then fold in the feedback. All
-argmax ties break toward the lowest arm index, and every policy that learns
-from data pulls each unseen arm of an arriving type once before trusting its
-estimates. A type with one arm is played without scoring, except by ts,
-whose stream contract has it consume its draws first. Policies carrying a
-ratio iterate expose it as ``theta``; for the others ``theta`` is None.
+type ``s``. The two policies carrying a ratio iterate, dolrm and oracle-rm,
+share one decision rule, ``greedy_arm`` over their per-cell estimates, and
+step theta in ``update`` with cell (s, a)'s reward and cost estimates before
+folding in the feedback. All argmax ties break toward the lowest arm index,
+and every policy that learns from data pulls each unseen arm of an arriving
+type once before trusting its estimates: dolrm because an unpulled cell's
+reward estimate is +inf, ucb and ts by an explicit check. A type with one
+arm is played without scoring, except by ts, whose stream contract has it
+consume its draws first. Policies carrying a ratio iterate expose it as
+``theta``; for the others ``theta`` is None.
 """
 
 from __future__ import annotations
@@ -62,10 +65,13 @@ def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
 
 
 def greedy_arm(rewards: Sequence[float], costs: Sequence[float], theta: float) -> int:
-    """Index maximizing rewards[a] - theta * costs[a]; ties go to the lowest index."""
+    """Index maximizing rewards[a] - theta * costs[a]; ties go to the lowest index.
+
+    A NaN score never wins, and arm 0 is returned when no score beats -inf.
+    """
     best = 0
-    best_score = rewards[0] - theta * costs[0]
-    for a in range(1, len(rewards)):
+    best_score = -math.inf
+    for a in range(len(rewards)):
         score = rewards[a] - theta * costs[a]
         if score > best_score:
             best_score = score
@@ -111,12 +117,15 @@ class PolicyKind:
 
 
 class _RatioIterate:
-    """Projected ratio iteration shared by the learner and its oracle twin.
+    """Greedy decision and projected ratio step shared by dolrm and oracle-rm.
 
     Holds theta inside [theta_min, theta_max] and the 1-based round index.
-    ``update(s, a, ...)`` moves theta one projected step toward the root of
-    r_hat - theta * c_check with cell (s, a)'s estimates, which the subclass
-    keeps in ``reward_ucb`` and ``cost_lcb``.
+    The subclass keeps a reward and a cost estimate per cell in
+    ``reward_ucb`` and ``cost_lcb``. ``select(s)`` plays ``greedy_arm`` over
+    type s's estimates at the current theta. ``update(s, a, ...)`` moves
+    theta one projected step toward the root of r_hat - theta * c_check with
+    cell (s, a)'s estimates; a cell whose score is not finite (an unpulled
+    dolrm cell at +inf, or -inf, or NaN) steps with r_max and c_min instead.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
@@ -132,14 +141,21 @@ class _RatioIterate:
         eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
         self._fixed_eta = None if lr_mode == "decaying" else eta
 
+    def select(self, s: int) -> int:
+        if s < 0:
+            raise IndexError(f"negative task type {s}")
+        if self._single_arm[s]:
+            return 0
+        return greedy_arm(self.reward_ucb[s], self.cost_lcb[s], self.theta)
+
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         if s < 0 or a < 0:
             raise IndexError(f"negative cell index ({s}, {a})")
         r_hat = self.reward_ucb[s][a]
         c_check = self.cost_lcb[s][a]
         theta = self.theta
-        if not r_hat - theta * c_check > -math.inf:
-            # no score beat -inf (all -inf or NaN): step with the sentinels
+        if not -math.inf < r_hat - theta * c_check < math.inf:
+            # an unpulled cell (+inf), or an overflowed or NaN score
             r_hat = self.r_max
             c_check = self.c_min
         t = self.round
@@ -161,42 +177,24 @@ class DolRmPolicy(_RatioIterate):
     Each round it scores every arm of the arriving type with an optimistic
     reward UCB min(r_max, mean + sqrt(log T / N)) minus theta times a
     pessimistic cost LCB max(c_min, mean - sqrt(log T / N)), T the horizon,
-    and plays the best score. Both bounds depend on one cell's statistics
-    alone, so they are kept per cell in ``reward_ucb`` and ``cost_lcb``;
-    unpulled cells hold the r_max / c_min sentinels. ``update(s, a, ...)``
-    first moves theta with cell (s, a)'s bounds, the ones ``select`` scored,
-    and only then folds the observation into that cell of ``stats``: it
-    writes the count and running means in place, with the expression of
-    ``ArmStatistics.record``, and refreshes the cell's two bounds from the
-    new means.
+    and plays the best score through ``greedy_arm``. Both bounds depend on
+    one cell's statistics alone, so they are kept per cell in ``reward_ucb``
+    and ``cost_lcb``. An unpulled cell's reward UCB is +inf, the UCB index of
+    an arm never played, so it scores +inf while a pulled cell's score is at
+    most r_max: the argmax plays the lowest unpulled arm first.
+    ``update(s, a, ...)`` first moves theta with cell (s, a)'s bounds, the
+    ones ``select`` scored, and only then folds the observation into that
+    cell of ``stats``: it writes the count and running means in place, with
+    the expression of ``ArmStatistics.record``, and refreshes the cell's two
+    bounds from the new means.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self.stats = ArmStatistics.for_spec(spec)
         self._log_horizon = math.log(horizon)
-        self.reward_ucb = [[self.r_max] * len(arms_s) for arms_s in spec.arms]
+        self.reward_ucb = [[math.inf] * len(arms_s) for arms_s in spec.arms]
         self.cost_lcb = [[self.c_min] * len(arms_s) for arms_s in spec.arms]
-
-    def select(self, s: int) -> int:
-        if s < 0:
-            raise IndexError(f"negative task type {s}")
-        if self._single_arm[s]:
-            return 0
-        counts = self.stats.counts[s]
-        if 0 in counts:
-            return counts.index(0)
-        ucb = self.reward_ucb[s]
-        lcb = self.cost_lcb[s]
-        theta = self.theta
-        best = 0
-        best_score = -math.inf
-        for a in range(len(ucb)):
-            score = ucb[a] - theta * lcb[a]
-            if score > best_score:
-                best_score = score
-                best = a
-        return best
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         # a direct base call: super() costs a few percent of a round
@@ -367,21 +365,15 @@ class OracleRmPolicy(_RatioIterate):
     """Ratio iteration driven by the true means (no estimation).
 
     Its ``reward_ucb`` and ``cost_lcb`` are the true means, bounds of zero
-    width; sampled feedback is ignored. It shares the step and learning-rate
-    schedule of the learner it benchmarks, isolating the estimation error.
+    width; sampled feedback is ignored. It shares the decision rule, the
+    step and the learning-rate schedule of the learner it benchmarks,
+    isolating the estimation error.
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         super().__init__(spec, horizon, lr_mode)
         self.reward_ucb = [[r for r, _ in arms_s] for arms_s in spec.arms]
         self.cost_lcb = [[c for _, c in arms_s] for arms_s in spec.arms]
-
-    def select(self, s: int) -> int:
-        if s < 0:
-            raise IndexError(f"negative task type {s}")
-        if self._single_arm[s]:
-            return 0
-        return greedy_arm(self.reward_ucb[s], self.cost_lcb[s], self.theta)
 
 
 def make_policy(

@@ -92,8 +92,10 @@ def sample_feedback(spec: EnvironmentSpec, s: int, a: int, rng) -> Feedback:
 def ucb_reward(stats: ArmStatistics, s: int, a: int, horizon: int, r_max: float) -> float:
     """Optimistic reward estimate min(r_max, mean + sqrt(log T / N)), T = horizon.
 
-    An unpulled cell returns the maximally optimistic sentinel r_max; forced
-    exploration keeps that sentinel out of real decisions.
+    An unpulled cell returns r_max, the reward theta steps with on such a
+    cell. ``DolRmPolicy`` stores +inf there instead, so its argmax plays the
+    cell before any pulled one; forced exploration keeps r_max out of the
+    decisions this reference makes.
     """
     if s < 0 or a < 0:
         raise IndexError(f"negative cell index ({s}, {a})")

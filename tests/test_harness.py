@@ -55,6 +55,24 @@ class TestStreams:
         with pytest.raises(ValueError, match="seed"):
             stream_rng(-1, ARRIVAL_STREAM)
 
+    def test_canary_first_draws_and_bonus_constants(self):
+        # The golden digests hash outputs built from these numbers. A numpy
+        # or libm change that moves one fails here by name, not only as a
+        # wall of digest mismatches. Each stream is read with the method the
+        # episode uses: uniforms for arrivals, standard normals otherwise.
+        assert [x.hex() for x in stream_rng(0, ARRIVAL_STREAM).random(3).tolist()] == [
+            "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5",
+        ]
+        assert [x.hex() for x in stream_rng(0, FEEDBACK_STREAM).standard_normal(3).tolist()] == [
+            "0x1.a5c170234e89ep-4", "-0x1.f607a848d4287p-1", "-0x1.a28c84dd75dedp-1",
+        ]
+        assert [x.hex() for x in stream_rng(0, POLICY_STREAM).standard_normal(3).tolist()] == [
+            "-0x1.331f9acf80706p-1", "-0x1.66ee111f4db30p-2", "-0x1.00ff51e2d2042p+0",
+        ]
+        # dolrm's bonus sqrt(log T / N), at T = 1e5 and N = 3
+        assert math.log(100_000).hex() == "0x1.7069e2aa2aa5bp+3"
+        assert math.sqrt(math.log(100_000) / 3).hex() == "0x1.f5805e60e5c75p+0"
+
     def test_every_kind_draws_the_same_arrivals_and_feedback(self, p08, monkeypatch):
         # Common random numbers: comparing policies seed by seed is fair only
         # if what a policy does never changes the arrivals and noise it meets.

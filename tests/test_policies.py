@@ -66,8 +66,8 @@ def specs(max_arms, sigmas=(0.0, 1.0)):
     )
 
 
-random_specs = specs(5)
-# Thompson sampling's per-decision work and draws grow with the arm count.
+# Up to 32 arms: ts's per-decision work and draws grow with the arm count,
+# and many small dyadic means give exact ties.
 wide_specs = specs(32)
 overflow_specs = specs(32, (0.0, 1.0, OVERFLOW_SIGMA))
 property_run = settings(deadline=None)
@@ -170,6 +170,14 @@ class TestGreedyArm:
     def test_tie_goes_to_lowest_index(self):
         assert greedy_arm([2.0, 2.0], [1.0, 1.0], theta=0.7) == 0
 
+    @pytest.mark.parametrize(
+        "rewards, best",
+        [([math.nan, -5.0], 1), ([-math.inf, -5.0], 1), ([-math.inf] * 3, 0)],
+    )
+    def test_only_a_score_above_minus_inf_wins(self, rewards, best):
+        # a leading NaN or -inf loses to a finite score; all -inf plays arm 0
+        assert greedy_arm(rewards, [1.0] * len(rewards), theta=1.0) == best
+
     @given(
         rewards=st.lists(dyadic, min_size=1, max_size=6),
         costs=st.lists(dyadic_positive, min_size=6, max_size=6),
@@ -270,6 +278,12 @@ class TestDolRmPolicy:
         policy.update(1, 1, 1.0, 1.0)
         assert policy.stats.counts[1] == [1, 1]
 
+    def test_nan_scored_arm_does_not_block_exploration(self, p08):
+        # arm 0's NaN reward makes its score NaN; the unpulled arm 1 still wins
+        policy = DolRmPolicy(p08, horizon=100)
+        policy.update(1, 0, math.nan, 1.0)
+        assert policy.select(1) == 1
+
     def test_rejects_negative_type(self, p08):
         with pytest.raises(IndexError):
             DolRmPolicy(p08, horizon=100).select(-1)
@@ -355,10 +369,13 @@ class TestDolRmPolicy:
             assert_same_cells(policy.stats, shadow)
             assert policy.reward_ucb[s][a] == ucb_reward(shadow, s, a, horizon, bounds.r_max)
             assert policy.cost_lcb[s][a] == lcb_cost(shadow, s, a, horizon, bounds.c_min)
-        # every other cell kept its bounds, the sentinels if it was never pulled
+        # every other cell kept its bounds: +inf and c_min if it was never pulled
         types = range(spec.num_types)
         assert policy.reward_ucb == [
-            [ucb_reward(shadow, s, b, horizon, bounds.r_max) for b in range(spec.num_arms(s))]
+            [
+                ucb_reward(shadow, s, b, horizon, bounds.r_max) if shadow.counts[s][b] else math.inf
+                for b in range(spec.num_arms(s))
+            ]
             for s in types
         ]
         assert policy.cost_lcb == [
@@ -420,7 +437,10 @@ class TestUcbBaseline:
         policy.update(1, 1, reward=1.0, cost=-0.5)
         assert policy.stats.mean_rewards[1][1] == 1.0 / ClassicUcbPolicy.cost_floor
         assert policy.stats.mean_costs[1][1] == -0.5
-        assert policy.round == 3
+        # a positive cost above the 1e-6 floor is kept as sampled
+        policy.update(0, 0, reward=1.0, cost=2e-6)
+        assert policy.stats.mean_rewards[0][0] == 1.0 / 2e-6
+        assert policy.round == 4
 
     @property_run
     @given(
@@ -595,7 +615,7 @@ class TestOracleRm:
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
-        spec=random_specs,
+        spec=wide_specs,
         horizon=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -610,7 +630,9 @@ class TestOracleRm:
             rewards = [r for r, _ in spec.arms[s]]
             costs = [c for _, c in spec.arms[s]]
             a = policy.select(s)
-            assert a == greedy_arm(rewards, costs, theta)
+            # the lowest index among the maximal scores
+            scores = [r - theta * c for r, c in zip(rewards, costs)]
+            assert a == scores.index(max(scores))
             theta = ratio_step(
                 theta, learning_rate(lr_mode, bounds.c_min, horizon, t), rewards[a], costs[a],
                 bounds.theta_min, bounds.theta_max,
@@ -637,7 +659,7 @@ def test_in_place_update_rejects_negative_cell(p08, kind, s, a):
     if kind != "ts":
         assert (policy.theta, policy.round) == (derived_bounds(p08).theta_min, 1)
     if kind == "dolrm":
-        assert policy.reward_ucb == [[3.0], [3.0, 3.0]]
+        assert policy.reward_ucb == [[math.inf], [math.inf, math.inf]]
 
 
 @pytest.mark.parametrize("kind", ["dolrm", "oracle-rm", "ucb", "fixed"])

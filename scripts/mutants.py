@@ -10,8 +10,8 @@ already fails cannot make every mutant look killed.
     python3 scripts/mutants.py tests/test_policies.py
 
 It prints one line per mutant and exits 1 if any survives or no longer
-applies. It is not part of the test suite: the default run is a dozen
-suite runs with the acceptance tests left out. A change that adds a fast
+applies. It is not part of the test suite: the default run is one suite
+run per mutant, with the acceptance tests left out. A change that adds a fast
 path adds that path's mutants to ``MUTANTS``.
 """
 
@@ -28,6 +28,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 POLICIES = "src/dolrm/policies.py"
+ESTIMATOR = "src/dolrm/estimator.py"
+RECORD_FOLD = (
+    "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
+    "        mean_c[a] = (mean_c[a] * n + cost) / n1\n"
+)
 
 
 class Mutant(NamedTuple):
@@ -98,6 +103,25 @@ MUTANTS = [
         POLICIES,
         "    best_score = -math.inf\n    for a in range(len(rewards)):",
         "    best_score = rewards[0] - theta * costs[0]\n    for a in range(1, len(rewards)):",
+    ),
+    Mutant(
+        "record-incremental-mean",
+        ESTIMATOR,
+        RECORD_FOLD,
+        "        mean_r[a] = mean_r[a] + (reward - mean_r[a]) / n1\n"
+        "        mean_c[a] = mean_c[a] + (cost - mean_c[a]) / n1\n",
+    ),
+    Mutant(
+        "record-count-first",
+        ESTIMATOR,
+        "        n = counts[a]\n        n1 = n + 1\n" + RECORD_FOLD + "        counts[a] = n1\n",
+        "        counts[a] += 1\n        n = counts[a]\n        n1 = n + 1\n" + RECORD_FOLD,
+    ),
+    Mutant(
+        "zero-cost-ratio-inf",
+        "src/dolrm/harness.py",
+        "                ratio = math.nan\n",
+        "                ratio = math.inf\n",
     ),
 ]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, TypeVar
 
 from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec
-from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, validate_policy_map
+from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, as_int, validate_policy_map
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_SEED_BASE = 0
@@ -94,6 +94,9 @@ class ExperimentConfig:
         for key, values in (("policies", self.policies), ("horizons", self.horizons), ("seeds", self.seeds)):
             if not values:
                 _fail(key, f"no {key} to run (expected a non-empty list)")
+        for key, values in (("horizons", self.horizons), ("seeds", self.seeds)):
+            for i, value in enumerate(values):
+                as_int(value, f"{key}[{i}]", ConfigError)
         names = [kind.name for kind in self.policies]
         for name in names:
             if names.count(name) > 1:
@@ -117,7 +120,7 @@ class ExperimentConfig:
                 f"unknown mode {self.lr_mode!r}; expected one of {LEARNING_RATE_MODES}",
             )
         if self.log_stride is not None:
-            _at_least(self.log_stride, 1, "log_stride")
+            _at_least(as_int(self.log_stride, "log_stride", ConfigError), 1, "log_stride")
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -159,10 +162,8 @@ def _as_number(value: Any, path: str) -> float:
         _fail(path, "integer too large for a float")
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    return value
+def _as_is(value: Any, path: str) -> Any:
+    return value  # typed where it is built, in PolicyKind or ExperimentConfig
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -227,7 +228,7 @@ def _parse_policy(entry: Any, path: str) -> PolicyKind:
     _reject_unknown(entry, {"kind", "actions", "label"}, f"{path}.")
     kind = _as_str(_require(entry, "kind", f"{path}.kind"), f"{path}.kind")
     actions = (
-        _list_of(entry["actions"], f"{path}.actions", "a list of arm indices", _as_int)
+        _list_of(entry["actions"], f"{path}.actions", "a list of arm indices", _as_is)
         if "actions" in entry
         else None
     )
@@ -241,20 +242,20 @@ def _parse_policy(entry: Any, path: str) -> PolicyKind:
 def _parse_horizons(raw: dict) -> tuple[int, ...]:
     if "horizons" not in raw:
         horizon = _require(raw, "horizon", "horizon", " ('horizon' or 'horizons')")
-        return (_as_int(horizon, "horizon"),)
+        return (as_int(horizon, "horizon", ConfigError),)
     if "horizon" in raw:
         _fail("horizon", "give either 'horizon' or 'horizons', not both")
-    return _list_of(raw["horizons"], "horizons", "a list of integers", _as_int)
+    return _list_of(raw["horizons"], "horizons", "a list of integers", _as_is)
 
 
 def _parse_seeds(raw: dict) -> tuple[int, ...]:
     seeds = {} if raw.get("seeds") is None else raw["seeds"]
     if isinstance(seeds, list):
-        return _list_of(seeds, "seeds", "a list of integers", _as_int)
+        return _list_of(seeds, "seeds", "a list of integers", _as_is)
     if isinstance(seeds, dict):
         _reject_unknown(seeds, {"count", "base"}, "seeds.")
-        count = _as_int(seeds.get("count", DEFAULT_SEED_COUNT), "seeds.count")
-        base = _as_int(seeds.get("base", DEFAULT_SEED_BASE), "seeds.base")
+        count = as_int(seeds.get("count", DEFAULT_SEED_COUNT), "seeds.count", ConfigError)
+        base = as_int(seeds.get("base", DEFAULT_SEED_BASE), "seeds.base", ConfigError)
         # name the count behind an empty range; a negative base leaves
         # negative seeds, which ExperimentConfig rejects
         _at_least(count, 1, "seeds.count")
@@ -288,7 +289,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         _as_number(raw["noise_sigma"], "noise_sigma") if "noise_sigma" in raw else None
     )
     environment, env_name = _parse_environment(raw, sigma_override)
-    log_stride = raw.get("log_stride")
     return ExperimentConfig(
         environment=environment,
         environment_name=env_name,
@@ -299,7 +299,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         seeds=_parse_seeds(raw),
         lr_mode=_as_str(raw.get("learning_rate", DEFAULT_LR_MODE), "learning_rate"),
         output_dir=_as_str(raw.get("output_dir", DEFAULT_OUTPUT_DIR), "output_dir"),
-        log_stride=None if log_stride is None else _as_int(log_stride, "log_stride"),
+        log_stride=raw.get("log_stride"),
     )
 
 

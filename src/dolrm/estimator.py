@@ -11,8 +11,9 @@ class ArmStatistics:
     """Pull counts and incremental reward/cost means, one cell per (type, arm).
 
     Means follow the running-average update mean <- (mean*N + x) / (N+1), so
-    memory stays O(1) per cell. ``DolRmPolicy`` and ``ThompsonSamplingPolicy``
-    write the same expression in place, saving a nested call per round.
+    memory stays O(1) per cell. ucb and ts fold through ``record``; the one
+    copy, ``DolRmPolicy.update``, folds in place between its ratio step and
+    the refresh of the cell's bounds, saving a nested call per round.
     """
 
     __slots__ = ("counts", "mean_rewards", "mean_costs")
@@ -30,9 +31,12 @@ class ArmStatistics:
         """Fold one observation into the cell's count and running means."""
         if s < 0 or a < 0:
             raise IndexError(f"negative cell index ({s}, {a})")
-        n = self.counts[s][a]
+        counts = self.counts[s]
+        mean_r = self.mean_rewards[s]
+        mean_c = self.mean_costs[s]
+        n = counts[a]
         n1 = n + 1
-        self.mean_rewards[s][a] = (self.mean_rewards[s][a] * n + reward) / n1
-        self.mean_costs[s][a] = (self.mean_costs[s][a] * n + cost) / n1
-        self.counts[s][a] = n1
+        mean_r[a] = (mean_r[a] * n + reward) / n1
+        mean_c[a] = (mean_c[a] * n + cost) / n1
+        counts[a] = n1
 

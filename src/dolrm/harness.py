@@ -8,6 +8,7 @@ an episode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, Optional
@@ -163,6 +164,10 @@ def run_episode(
             next_row = t + stride
             if next_row > horizon:
                 next_row = horizon
-            rows.append((t, s, a, r, c, cum_r, cum_c, cum_r / cum_c, policy.theta))
+            try:
+                ratio = cum_r / cum_c
+            except ZeroDivisionError:  # a cumulative cost of exactly 0 has no ratio
+                ratio = math.nan
+            rows.append((t, s, a, r, c, cum_r, cum_c, ratio, policy.theta))
 
     return EpisodeTrace(kind.name, seed, horizon, rows)

@@ -145,10 +145,7 @@ class OutputBundle:
 
     output_dir: Path
     trace_paths: tuple[Path, ...]
-    summary_table_path: Path
     summary_json_path: Path
-    oracle_path: Path
-    config_path: Path
     summaries: tuple[ReplicationSummary, ...]
     oracle: OracleResult
     gap_slopes: dict[str, Optional[float]]
@@ -259,10 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     return OutputBundle(
         output_dir=out_dir,
         trace_paths=tuple(trace_paths),
-        summary_table_path=summary_table_path,
         summary_json_path=summary_json_path,
-        oracle_path=oracle_path,
-        config_path=config_path,
         summaries=summaries,
         oracle=oracle,
         gap_slopes=gap_slopes,

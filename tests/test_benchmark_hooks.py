@@ -120,10 +120,11 @@ def test_patched_hooks_see_every_call(tmp_path, monkeypatch):
     bundle = run_experiment(cfg)
 
     episodes = len(POLICIES) * SEEDS
-    # Only ucb folds its feedback through ArmStatistics.record; dolrm and ts
-    # write their pulled cell in place. The traced run divides the record
-    # time by the record count, so every experiment needs at least one call.
-    learners = 1
+    # ucb and ts fold their feedback through ArmStatistics.record (ts's
+    # update is record itself); dolrm writes its pulled cell in place. The
+    # traced run divides the record time by the record count, so every
+    # experiment needs at least one call.
+    learners = 2
     assert calls["oracle"] == 1
     assert {key: n for key, n in calls.items() if key[0] == "episode"} == {
         ("episode", kind.kind, kind.name): SEEDS for kind in cfg.policies

@@ -85,7 +85,7 @@ class TestRunExperiment:
 
     def test_fixed_map_expected_ratios_reported(self, bundle):
         _, out = bundle
-        doc = json.loads(out.oracle_path.read_text())
+        doc = json.loads((out.output_dir / "oracle.json").read_text())
         assert doc["fixed_map_expected_ratios"]["greedy"] == pytest.approx(2.5, abs=1e-12)
         assert doc["fixed_map_expected_ratios"]["reverse"] == pytest.approx(2.6, abs=1e-12)
         assert doc["optimal_actions"] == [0, 1]
@@ -119,14 +119,14 @@ class TestRunExperiment:
 
     def test_summary_table_is_readable(self, bundle):
         _, out = bundle
-        text = out.summary_table_path.read_text()
+        text = (out.output_dir / "summary.txt").read_text()
         assert text.startswith("optimal ratio: 2.6")
         for kind in ALL_KINDS:
             assert kind.name in text
 
     def test_resolved_config_reparses_identically(self, bundle):
         cfg, out = bundle
-        assert parse_config(out.config_path) == cfg
+        assert parse_config(out.output_dir / "resolved_config.json") == cfg
 
     def test_rerun_is_byte_identical(self, bundle):
         cfg, out = bundle
@@ -368,6 +368,40 @@ class TestCommandLine:
             "warning: fixed-0-1 T=3: final ratio is not finite for seed(s) 0, 56",
         ]
         assert "warning" not in proc.stdout
+
+    def test_zero_cumulative_cost_logs_an_undefined_ratio(self, tmp_path):
+        # seed 0's first cost noise is -0.9805271710302613, so the cumulative
+        # cost is exactly 0.0 after round 1
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "environment": {
+                        "arrival_probs": [1.0],
+                        "arms": [[[1.0, 0.9805271710302613]]],
+                        "noise_sigma": 1.0,
+                    },
+                    "policies": [{"kind": "fixed", "actions": [0]}],
+                    "horizons": [1, 5],
+                    "seeds": [0],
+                    "log_stride": 1,
+                    "output_dir": str(tmp_path / "results"),
+                }
+            )
+        )
+        proc = run_cli("run", str(config))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["warning: fixed-0 T=1: final ratio is not finite for seed(s) 0"]
+        for horizon in (1, 5):
+            trace = tmp_path / "results" / "traces" / f"trace-fixed-0-T{horizon}-seed0.csv"
+            first = trace.read_text().splitlines()[1].split(",")
+            assert first[2] == "1"
+            assert float(first[8]) == 0.0
+            assert first[9] == "nan"
+        results = json.loads((tmp_path / "results" / "summary.json").read_text())["results"]
+        assert results[0]["final_ratios"] == [None]
+        assert results[0]["mean_final_ratio"] is None
+        assert math.isfinite(results[1]["mean_final_ratio"])
 
     def test_bad_config_exits_nonzero_with_diagnostic(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -190,6 +190,10 @@ class TestPolicies:
         with pytest.raises(ConfigError, match=r"actions\[0\] = 3 out of range"):
             parse(tmp_path, policies=[{"kind": "fixed", "actions": [3, 0]}])
 
+    def test_fixed_actions_must_be_integers(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape("policies[0]: actions[1]: expected an integer, got float")):
+            parse(tmp_path, policies=[{"kind": "fixed", "actions": [0, 1.0]}])
+
     def test_unknown_policy_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"policies\[0\]\.bonus"):
             parse(tmp_path, policies=[{"kind": "dolrm", "bonus": 2}])
@@ -310,6 +314,10 @@ BROKEN_RULES = [
     ({"seeds": (3, -1)}, "seeds: seed values must be >= 0"),
     ({"lr_mode": "adagrad"}, "learning_rate: unknown mode 'adagrad'"),
     ({"log_stride": 0}, "log_stride: must be >= 1 (got 0)"),
+    ({"log_stride": 2.5}, "log_stride: expected an integer, got float"),
+    ({"horizons": (50.0,)}, "horizons[0]: expected an integer, got float"),
+    ({"horizons": (True,)}, "horizons[0]: expected an integer, got bool"),
+    ({"seeds": (0, 1.5)}, "seeds[1]: expected an integer, got float"),
 ]
 
 

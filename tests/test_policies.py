@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,13 @@ class TestPolicyKind:
     def test_fixed_requires_actions(self):
         with pytest.raises(ValueError, match="needs 'actions'"):
             PolicyKind("fixed")
+
+    @pytest.mark.parametrize("action", [0.7, "1", True], ids=["float", "str", "bool"])
+    def test_fixed_actions_must_be_integers(self, action):
+        # truncating 0.7 would silently run arm 0, a map nobody asked for
+        message = f"actions[1]: expected an integer, got {type(action).__name__}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolicyKind("fixed", (0, action))
 
     def test_rejects_label_with_bad_characters(self):
         with pytest.raises(ValueError, match="label"):

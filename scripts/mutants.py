@@ -123,6 +123,13 @@ MUTANTS = [
         "                ratio = math.nan\n",
         "                ratio = math.inf\n",
     ),
+    # run_episode must call the select the benchmark installs on the instance
+    Mutant(
+        "harness-class-select",
+        "src/dolrm/harness.py",
+        "    select = policy.select\n",
+        "    select = type(policy).select.__get__(policy)\n",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(

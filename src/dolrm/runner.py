@@ -41,20 +41,25 @@ TRACE_HEADER = "run_id,policy,t,type,arm,reward,cost,cum_reward,cum_cost,ratio,t
 TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,"
 
 
+def _tmp_sibling(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".tmp")
+
+
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write the concatenated chunks to ``path`` through a ``.tmp`` sibling.
 
-    ``path`` appears only once every chunk is written; if a chunk raises,
-    the ``.tmp`` file is deleted, so a failed write leaves no partial file.
+    ``path`` appears only once every chunk is written; if a chunk or the
+    final rename raises, the ``.tmp`` file is deleted, so a failed write
+    leaves no partial file.
     """
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = _tmp_sibling(path)
     try:
         with tmp.open("w") as f:
             f.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _finite_or_null(doc: Any) -> Any:
@@ -201,9 +206,16 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     summary_json_path = out_dir / "summary.json"
     summary_table_path = out_dir / "summary.txt"
     # An earlier run's outputs go first: neither this run's summary nor, if it
-    # fails, its partial traces may stand beside them.
-    stale = traces_dir.glob("trace-*.csv")
-    for path in (config_path, oracle_path, summary_json_path, summary_table_path, *stale):
+    # fails, its partial traces may stand beside them. So do the .tmp files
+    # of a run that was killed mid-write.
+    outputs = (config_path, oracle_path, summary_json_path, summary_table_path)
+    stale = (
+        *outputs,
+        *map(_tmp_sibling, outputs),
+        *traces_dir.glob("trace-*.csv"),
+        *traces_dir.glob("trace-*.csv.tmp"),
+    )
+    for path in stale:
         path.unlink(missing_ok=True)
 
     oracle = dinkelbach_theta_star(cfg.environment)

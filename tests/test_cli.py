@@ -185,6 +185,23 @@ class TestRunExperiment:
             "trace-dolrm-T50-seed0.csv"
         ]
 
+    def test_rerun_deletes_a_killed_runs_temp_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        (out / "traces").mkdir(parents=True)
+        left = ["traces/trace-dolrm-T50-seed7.csv.tmp", "summary.json.tmp", "summary.txt.tmp"]
+        left += ["oracle.json.tmp", "resolved_config.json.tmp"]
+        for path in map(out.joinpath, left):
+            path.write_text("partial")
+
+        # the rerun fails before it writes a file, so it cannot overwrite them
+        def crash_on_first_episode(*args, **kwargs):
+            raise RuntimeError("episode 1 failed")
+
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_first_episode)
+        with pytest.raises(RuntimeError, match="episode 1"):
+            run_experiment(tiny_config(tmp_path))
+        assert not list(out.rglob("*.tmp"))
+
     def test_gap_slopes_reported_for_horizon_grids(self, tmp_path):
         cfg = tiny_config(
             tmp_path,
@@ -239,6 +256,15 @@ def test_failed_trace_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         write_trace(tmp_path / "trace.csv", trace)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "trace.csv"
+    target.mkdir()
+    trace = EpisodeTrace("p", 0, 1, [(1, 0, 0, 1.0, 1.0, 1.0, 1.0, 1.0, None)])
+    with pytest.raises(IsADirectoryError):
+        write_trace(target, trace)
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def run_cli(*args):

@@ -29,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
+HARNESS = "src/dolrm/harness.py"
 RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
     "        mean_c[a] = (mean_c[a] * n + cost) / n1\n"
@@ -76,8 +77,8 @@ MUTANTS = [
     ),
     Mutant(
         "no-row-clamp",
-        "src/dolrm/harness.py",
-        "            if next_row > horizon:\n                next_row = horizon\n",
+        HARNESS,
+        "                if next_row > horizon:\n                    next_row = horizon\n",
         "",
     ),
     Mutant(
@@ -119,14 +120,27 @@ MUTANTS = [
     ),
     Mutant(
         "zero-cost-ratio-inf",
-        "src/dolrm/harness.py",
-        "                ratio = math.nan\n",
-        "                ratio = math.inf\n",
+        HARNESS,
+        "                    ratio = math.nan\n",
+        "                    ratio = math.inf\n",
     ),
+    Mutant(
+        "block-t-restart",
+        HARNESS,
+        "zip(range(start + 1, start + n + 1), tasks,",
+        "zip(range(1, n + 1), tasks,",
+    ),
+    Mutant(
+        "noise-stream-per-block",
+        HARNESS,
+        "feedback_noise(feedback, sigma, n)",
+        "feedback_noise(stream_rng(seed, FEEDBACK_STREAM), sigma, n)",
+    ),
+    Mutant("sigma-zero-plus-zero", HARNESS, "np.full(2 * n, -0.0)", "np.full(2 * n, 0.0)"),
     # run_episode must call the select the benchmark installs on the instance
     Mutant(
         "harness-class-select",
-        "src/dolrm/harness.py",
+        HARNESS,
         "    select = policy.select\n",
         "    select = type(policy).select.__get__(policy)\n",
     ),

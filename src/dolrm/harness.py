@@ -3,15 +3,16 @@
 Each episode draws from three streams labeled by (seed, stream): task
 arrivals (``sample_tasks``), feedback noise (``feedback_noise``) and the
 policy's own draws. All three are derived here, so a config and a seed fix
-an episode.
+an episode. An episode runs ``BLOCK`` rounds at a time, each block with its
+own arrival and noise draws, so at the default stride nothing it holds
+grows with the horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,9 +27,8 @@ ARRIVAL_STREAM = 0
 FEEDBACK_STREAM = 1
 POLICY_STREAM = 2
 
-# Rounds of arrivals and feedback noise held as Python objects at a time. An
-# episode keeps its arrivals as one int64 array (8 B per round) plus one
-# block of Python ints and floats, however long its horizon.
+# Rounds per block: an episode holds one block of arrivals and noise as
+# Python ints and floats, however long its horizon.
 BLOCK = 4096
 
 
@@ -55,26 +55,18 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
     return idx.astype(np.int64, copy=False)
 
 
-def feedback_noise(seed: int, sigma: float, horizon: int) -> Iterator[float]:
-    """Each round's reward noise, then its cost noise, as one stream of floats.
+def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
+    """The next n rounds' reward and cost noise, interleaved, as 2n floats.
 
-    The normals are drawn ``BLOCK`` rounds at a time. Successive
-    ``standard_normal`` calls continue one stream, so the values are those
-    of one bulk ``standard_normal((horizon, 2)) * sigma`` draw, row by row.
-    A product that overflows is +-inf, with no warning. At sigma 0 the
-    stream is -0.0 forever and draws nothing.
+    Successive calls continue one ``standard_normal`` stream, so the blocks
+    of an episode are one bulk ``standard_normal((horizon, 2)) * sigma``
+    draw, row by row. A product that overflows is +-inf, with no warning.
+    At sigma 0 every value is -0.0 and nothing is drawn.
     """
     if sigma == 0.0:
-        return repeat(-0.0)
-    rng = stream_rng(seed, FEEDBACK_STREAM)
-
-    def blocks():
-        for start in range(0, horizon, BLOCK):
-            with np.errstate(over="ignore"):
-                block = rng.standard_normal(2 * min(BLOCK, horizon - start)) * sigma
-            yield block.tolist()
-
-    return chain.from_iterable(blocks())
+        return np.full(2 * n, -0.0)
+    with np.errstate(over="ignore"):
+        return rng.standard_normal(2 * n) * sigma
 
 
 def default_stride(horizon: int) -> int:
@@ -135,39 +127,41 @@ def run_episode(
     policy = make_policy(kind, spec, horizon, lr_mode, policy_rng)
     select = policy.select
     update = policy.update
-    task_array = sample_tasks(spec, horizon, stream_rng(seed, ARRIVAL_STREAM))
-    tasks = chain.from_iterable(
-        task_array[start : start + BLOCK].tolist() for start in range(0, horizon, BLOCK)
-    )
-    # Two normals per round, reward noise first: zip pulls noise_r, then
-    # noise_c, from the one iterator. Scaling by sigma in numpy gives the
-    # same IEEE products as scaling each Python float. At sigma 0 every
-    # addend is -0.0, the one value that leaves each mean, -0.0 included,
-    # unchanged.
-    noise = feedback_noise(seed, spec.noise_sigma, horizon)
+    arrivals = stream_rng(seed, ARRIVAL_STREAM)
+    feedback = stream_rng(seed, FEEDBACK_STREAM)
+    sigma = spec.noise_sigma
     arms = spec.arms
 
     rows = []
     cum_r = 0.0
     cum_c = 0.0
     next_row = min(stride, horizon)
-    for t, s, noise_r, noise_c in zip(range(1, horizon + 1), tasks, noise, noise):
-        a = select(s)
-        r, c = arms[s][a]
-        r += noise_r
-        c += noise_c
-        update(s, a, r, c)
-        cum_r += r
-        cum_c += c
-        if t == next_row:
-            # an add and a compare: min() is a builtin call per logged row
-            next_row = t + stride
-            if next_row > horizon:
-                next_row = horizon
-            try:
-                ratio = cum_r / cum_c
-            except ZeroDivisionError:  # a cumulative cost of exactly 0 has no ratio
-                ratio = math.nan
-            rows.append((t, s, a, r, c, cum_r, cum_c, ratio, policy.theta))
+    for start in range(0, horizon, BLOCK):
+        n = min(BLOCK, horizon - start)
+        tasks = sample_tasks(spec, n, arrivals).tolist()
+        # Two normals per round, reward noise first: zip pulls noise_r, then
+        # noise_c, from the one iterator. Scaling by sigma in numpy gives the
+        # same IEEE products as scaling each Python float. At sigma 0 every
+        # addend is -0.0, the one value that leaves each mean, -0.0 included,
+        # unchanged.
+        noise = iter(feedback_noise(feedback, sigma, n).tolist())
+        for t, s, noise_r, noise_c in zip(range(start + 1, start + n + 1), tasks, noise, noise):
+            a = select(s)
+            r, c = arms[s][a]
+            r += noise_r
+            c += noise_c
+            update(s, a, r, c)
+            cum_r += r
+            cum_c += c
+            if t == next_row:
+                # an add and a compare: min() is a builtin call per logged row
+                next_row = t + stride
+                if next_row > horizon:
+                    next_row = horizon
+                try:
+                    ratio = cum_r / cum_c
+                except ZeroDivisionError:  # a cumulative cost of exactly 0 has no ratio
+                    ratio = math.nan
+                rows.append((t, s, a, r, c, cum_r, cum_c, ratio, policy.theta))
 
     return EpisodeTrace(kind.name, seed, horizon, rows)

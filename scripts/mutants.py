@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
 HARNESS = "src/dolrm/harness.py"
+ENV = "src/dolrm/env.py"
 RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
     "        mean_c[a] = (mean_c[a] * n + cost) / n1\n"
@@ -137,6 +138,22 @@ MUTANTS = [
         "feedback_noise(stream_rng(seed, FEEDBACK_STREAM), sigma, n)",
     ),
     Mutant("sigma-zero-plus-zero", HARNESS, "np.full(2 * n, -0.0)", "np.full(2 * n, 0.0)"),
+    # memoize the generator, not its seed sequence: episodes share stream state
+    Mutant(
+        "stream-memo-shares-generator",
+        HARNESS,
+        "    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))\n",
+        "    return _generator(seed, stream)\n\n\n"
+        "@lru_cache(maxsize=4096)\n"
+        "def _generator(seed: int, stream: int) -> np.random.Generator:\n"
+        "    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))\n",
+    ),
+    Mutant(
+        "cdf-sentinel-at-last-index",
+        ENV,
+        "        return sums[:last] + (math.inf,) * (self.num_types - last)\n",
+        "        return sums[:-1] + (math.inf,)\n",
+    ),
     # run_episode must call the select the benchmark installs on the instance
     Mutant(
         "harness-class-select",
@@ -195,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = "killed"
             if verdict != "killed":
                 bad.append(mutant.name)
-            print(f"{mutant.name:<26} {verdict}", flush=True)
+            print(f"{mutant.name:<30} {verdict}", flush=True)
             shutil.rmtree(tree)
     print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} killed")
     return 1 if bad else 0

@@ -3,15 +3,17 @@
 Each episode draws from three streams labeled by (seed, stream): task
 arrivals (``sample_tasks``), feedback noise (``feedback_noise``) and the
 policy's own draws. All three are derived here, so a config and a seed fix
-an episode. An episode runs ``BLOCK`` rounds at a time, each block with its
-own arrival and noise draws, so at the default stride nothing it holds
-grows with the horizon.
+an episode; the seed sequence of each (seed, stream) label is memoized, and
+each episode still gets fresh generators built from it. An episode runs
+``BLOCK`` rounds at a time, each block with its own arrival and noise
+draws, so at the default stride nothing it holds grows with the horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,11 +34,23 @@ POLICY_STREAM = 2
 BLOCK = 4096
 
 
+@lru_cache(maxsize=4096)
+def _seed_sequence(seed: int, stream: int) -> np.random.SeedSequence:
+    # Hashing the entropy is about half of a generator's set-up, and an
+    # experiment asks for each label once per (policy, horizon). Building a
+    # generator reads a SeedSequence and never advances it, so sharing one
+    # is safe; only ``spawn`` would advance it, and nothing here spawns.
+    return np.random.SeedSequence((seed, stream))
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for one labeled stream of one episode."""
+    """Independent generator for one labeled stream of one episode.
+
+    Every call returns a new generator at the start of its stream.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0 (got {seed})")
-    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))
 
 
 def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,14 +59,11 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
     Each type is the first index whose cumulative probability strictly
     exceeds its uniform draw, which makes arrival sequences reproducible
     across implementations sharing the uniform stream. Accumulated rounding
-    can leave the last cumulative below 1, so draws above it map to the
-    last type with positive probability.
+    can leave the last cumulative below 1; ``spec.arrival_cdf`` is +inf from
+    the last type with positive probability on, so draws above it map to
+    that type with no clamp.
     """
-    last = max(s for s, p in enumerate(spec.arrival_probs) if p > 0.0)
-    cum = np.cumsum(spec.arrival_probs)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    np.minimum(idx, last, out=idx)
-    return idx.astype(np.int64, copy=False)
+    return np.searchsorted(spec.arrival_cdf, rng.random(n), side="right")
 
 
 def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import EnvironmentSpec, derived_bounds
+from .env import EnvironmentSpec
 from .policies import PolicyKind, greedy_arm
 
 # Convergence tolerance and update budget of the fixed-point iteration.
@@ -59,7 +59,7 @@ def dinkelbach_theta_star(spec: EnvironmentSpec) -> OracleResult:
     improvement per distinct map. Returns the fixed point, the fixed policy
     of its map and the number of updates performed.
     """
-    theta = derived_bounds(spec).theta_min
+    theta = spec.bounds.theta_min
     for k in range(1, DINKELBACH_MAX_ITER + 1):
         actions = best_response(spec, theta)
         nxt = expected_ratio(spec, actions)

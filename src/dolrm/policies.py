@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .env import EnvironmentSpec, derived_bounds
+from .env import EnvironmentSpec
 from .estimator import ArmStatistics
 
 if TYPE_CHECKING:
@@ -137,7 +137,7 @@ class _RatioIterate:
     """
 
     def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
-        bounds = derived_bounds(spec)
+        bounds = spec.bounds
         self.r_max = bounds.r_max
         self.c_min = bounds.c_min
         self.theta_min = bounds.theta_min
@@ -314,7 +314,7 @@ class ThompsonSamplingPolicy:
     def __init__(self, spec: EnvironmentSpec, rng: np.random.Generator):
         self.stats = ArmStatistics.for_spec(spec)
         self.update = self.stats.record
-        self.c_min = derived_bounds(spec).c_min
+        self.c_min = spec.bounds.c_min
         self.rng = rng
         self._normals: list[float] = []
         self._next = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -144,12 +145,28 @@ def test_bounds_are_finite_numbers(p08):
     assert b.theta_min <= b.theta_max
 
 
+def test_cached_derivations_leave_equality_and_hash_alone(p08):
+    other = two_type_env()
+    assert p08.bounds == derived_bounds(p08)
+    assert p08.arrival_cdf == (0.8, math.inf)
+    assert "arrival_cdf" not in vars(other)
+    assert p08 == other and hash(p08) == hash(other)
+    assert [f.name for f in dataclasses.fields(p08)] == ["arrival_probs", "arms", "noise_sigma"]
+
+
+def test_arrival_cdf_is_inf_from_the_last_arriving_type():
+    spec = EnvironmentSpec((0.0, 0.5, 0.0, 0.5, 0.0, 0.0), (((1.0, 1.0),),) * 6)
+    assert spec.arrival_cdf == (0.0, 0.5, 0.5, math.inf, math.inf, math.inf)
+
+
 def test_model_modules_import_without_numpy():
     # numpy is for the seeded draws and the summary statistics only; the
     # model, the policies, the oracle and config parsing load without it
     code = (
         "import sys\n"
         "import dolrm.env, dolrm.policies, dolrm.oracle, dolrm.config\n"
+        "spec = dolrm.env.EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((2.0, 1.0),)))\n"
+        "spec.bounds, spec.arrival_cdf\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
     )
     proc = subprocess.run(

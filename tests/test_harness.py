@@ -1,16 +1,23 @@
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import dolrm.env
 import dolrm.harness
+import dolrm.oracle
+import dolrm.policies
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.harness import (
     ARRIVAL_STREAM,
     FEEDBACK_STREAM,
     POLICY_STREAM,
+    _seed_sequence,
     default_stride,
     feedback_noise,
     run_episode,
@@ -54,6 +61,23 @@ class TestStreams:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             stream_rng(-1, ARRIVAL_STREAM)
+
+    def test_each_call_gets_a_fresh_generator(self):
+        # The seed sequence of a label is memoized, the generator is not:
+        # two generators of one label, read in turn, each replay the whole
+        # stream of a fresh generator.
+        seed, stream = 11, FEEDBACK_STREAM
+        hits = _seed_sequence.cache_info().hits
+        first = stream_rng(seed, stream)
+        second = stream_rng(seed, stream)
+        assert _seed_sequence.cache_info().hits > hits
+        draws = {id(first): [], id(second): []}
+        for _ in range(3):
+            for rng in (first, second, second, first):
+                draws[id(rng)] += rng.standard_normal(2).tolist()
+        fresh = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+        expected = fresh.standard_normal(12).tolist()
+        assert list(draws.values()) == [expected, expected]
 
     def test_canary_first_draws_and_bonus_constants(self):
         # The golden digests hash outputs built from these numbers. A numpy
@@ -123,6 +147,22 @@ class TestStreams:
         assert default_stride(100_000) == 100
 
 
+@st.composite
+def arrival_vectors(draw):
+    """Valid arrival probabilities with zero-probability types first, in
+    the middle and last, whose running sum may fall short of 1."""
+    body = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), max_size=5))
+    body.append(draw(st.floats(0.01, 1.0)))
+    body = draw(st.permutations(body))
+    weights = [0.0] * draw(st.integers(0, 2)) + body + [0.0] * draw(st.integers(0, 2))
+    total = math.fsum(weights)
+    probs = [w / total for w in weights]
+    # validation allows a sum within 1e-12 of 1
+    last = max(s for s, p in enumerate(probs) if p > 0.0)
+    probs[last] -= draw(st.floats(0.0, 5e-13))
+    return tuple(probs)
+
+
 class TestArrivalSampling:
     def test_inverse_cdf_convention(self, p08):
         assert sample_task(p08, StubRng(uniforms=[0.50])) == 0
@@ -158,6 +198,23 @@ class TestArrivalSampling:
         u = 0.99999999999999
         assert sample_tasks(spec, 3, StubRng(uniforms=[u] * 3)).tolist() == [1, 1, 1]
         assert sample_task(spec, StubRng(uniforms=[u])) == 1
+
+    @given(probs=arrival_vectors(), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(probs=(0.0, 0.5, 0.0, 0.5 - 1e-13, 0.0), extra=[])
+    def test_batch_matches_scalar_draws_on_any_arrival_vector(self, probs, extra):
+        # Every running sum and its two float neighbours, so each draw that
+        # sits on a type boundary, and the largest draw below 1, which
+        # lands above the last sum when rounding leaves it short of 1.
+        spec = EnvironmentSpec(probs, (((1.0, 1.0),),) * len(probs))
+        edges = [
+            u
+            for c in itertools.accumulate(probs)
+            for u in (math.nextafter(c, 0.0), c, math.nextafter(c, 2.0))
+            if 0.0 <= u < 1.0
+        ]
+        uniforms = [0.0, math.nextafter(1.0, 0.0), *edges, *extra]
+        batch = sample_tasks(spec, len(uniforms), StubRng(uniforms=uniforms)).tolist()
+        assert batch == [sample_task(spec, StubRng(uniforms=[u])) for u in uniforms]
 
     def test_batch_matches_scalar_draws(self, p08):
         n = 200
@@ -345,6 +402,29 @@ def experiment(tmp_path, spec, kinds, horizons, seeds):
         tmp_path, environment=spec, policies=kinds, horizons=horizons, seeds=seeds
     )
     return run_experiment(cfg)
+
+
+def test_experiment_derives_bounds_once_per_spec(tmp_path, monkeypatch):
+    # The spec derives its bounds when it is built; the oracle and every
+    # policy of every episode read them from it.
+    calls = []
+
+    def counting_derived_bounds(spec):
+        calls.append(spec)
+        return derived_bounds(spec)
+
+    # every module that ever imported it, so a call that comes back counts
+    for module in (dolrm.env, dolrm.policies, dolrm.oracle):
+        monkeypatch.setattr(module, "derived_bounds", counting_derived_bounds, raising=False)
+    spec = two_type_env()
+    assert calls == [spec]
+    cfg = tiny_config(
+        tmp_path, environment=spec, policies=(DOLRM, PolicyKind("ts")), horizons=(50, 80), seeds=(0, 1, 2)
+    )
+    calls.clear()
+    out = run_experiment(cfg)
+    assert len(out.trace_paths) == 12
+    assert calls == []
 
 
 class TestReplications:

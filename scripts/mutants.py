@@ -31,6 +31,7 @@ POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
 HARNESS = "src/dolrm/harness.py"
 ENV = "src/dolrm/env.py"
+RUNNER = "src/dolrm/runner.py"
 RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
     "        mean_c[a] = (mean_c[a] * n + cost) / n1\n"
@@ -84,7 +85,7 @@ MUTANTS = [
     ),
     Mutant(
         "trace-template",
-        "src/dolrm/runner.py",
+        RUNNER,
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,',
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.11g,',
     ),
@@ -160,6 +161,45 @@ MUTANTS = [
         HARNESS,
         "    select = policy.select\n",
         "    select = type(policy).select.__get__(policy)\n",
+    ),
+    # the last block runs past the horizon: no row changes, only the work
+    Mutant("block-past-horizon", HARNESS, "n = min(BLOCK, horizon - start)", "n = min(BLOCK, horizon + start)"),
+    Mutant("slope-of-infinite-gap", RUNNER, "0.0 < gap < math.inf", "0.0 < gap <= math.inf"),
+    Mutant(
+        "ts-no-score-plays-arm-1",
+        POLICIES,
+        "        sqrt = math.sqrt\n        best = 0\n",
+        "        sqrt = math.sqrt\n        best = 1\n",
+    ),
+    Mutant(
+        "fallback-on-sum",
+        POLICIES,
+        "        if not -math.inf < r_hat - theta * c_check < math.inf:",
+        "        if not -math.inf < r_hat + theta * c_check < math.inf:",
+    ),
+    Mutant("cdf-array-writable", HARNESS, "    array.flags.writeable = False\n", ""),
+    # the trace writer: the run must wait for it, see its failures, let it
+    # drain after the run's own error and never replace that error
+    Mutant(
+        "writer-close-no-wait",
+        RUNNER,
+        "        _, status = os.waitpid(self._pid, 0)\n        code = os.waitstatus_to_exitcode(status)\n",
+        "        code = 0\n",
+    ),
+    Mutant("writer-takes-sigint", RUNNER, "        signal.signal(signal.SIGINT, signal.SIG_IGN)\n", ""),
+    Mutant("writer-exits-0-on-failure", RUNNER, "    status = 1\n    try:\n", "    status = 0\n    try:\n"),
+    Mutant(
+        "writer-killed-on-error",
+        RUNNER,
+        "    def __exit__(self, exc_type, exc, tb) -> None:\n",
+        "    def __exit__(self, exc_type, exc, tb) -> None:\n"
+        "        if exc_type is not None:\n            os.kill(self._pid, 9)\n",
+    ),
+    Mutant(
+        "writer-replaces-run-error",
+        RUNNER,
+        "        if code and (exc_type is None or issubclass(exc_type, BrokenPipeError)):\n",
+        "        if code:\n",
     ),
 ]
 

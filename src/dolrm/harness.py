@@ -63,7 +63,16 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
     the last type with positive probability on, so draws above it map to
     that type with no clamp.
     """
-    return np.searchsorted(spec.arrival_cdf, rng.random(n), side="right")
+    return _cdf_array(spec.arrival_cdf).searchsorted(rng.random(n), side="right")
+
+
+@lru_cache(maxsize=64)
+def _cdf_array(cdf: tuple[float, ...]) -> np.ndarray:
+    # searchsorted would turn the tuple into a new array on every call; the
+    # cached array is read-only, so specs with equal sums can share it.
+    array = np.array(cdf)
+    array.flags.writeable = False
+    return array
 
 
 def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:

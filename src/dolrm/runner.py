@@ -17,6 +17,10 @@ cum_reward,cum_cost,ratio,theta. The theta column is empty for policies
 that do not track a ratio iterate. Floats are written with 12 significant
 digits so re-runs compare byte for byte. The JSON documents are strict
 JSON: an infinite or undefined (NaN) number is written as null.
+
+The traces are written by one forked writer process per run, in the order
+the episodes finish, while the next episode runs (``_TraceWriter``). This
+needs ``os.fork``, so POSIX.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -89,6 +95,87 @@ def write_trace(path: Path, trace: EpisodeTrace) -> None:
     rows = trace.rows
     blocks = ("".join(map(template.__mod__, rows[i : i + BLOCK])) for i in range(0, len(rows), BLOCK))
     _write_atomic(path, chain((TRACE_HEADER + "\n",), blocks))
+
+
+def _write_traces_from(read_fd: int) -> None:
+    """The writer child's whole life: write each trace read from the pipe, then exit.
+
+    Never returns: it leaves through ``os._exit``, with status 0 once the
+    parent has closed the pipe after whole traces, and 1 after printing the
+    traceback of any failure to stderr. It ignores SIGINT, so a Ctrl-C to
+    the process group interrupts the parent alone, which then waits here
+    until every trace it handed over is written.
+    """
+    status = 1
+    try:
+        # imported here, in the child alone, so importing dolrm costs no more
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(read_fd, "rb") as pipe:
+            while pipe.peek(1):  # empty once the parent has closed its end
+                path, policy, seed, horizon, n = pickle.load(pipe)
+                rows = []
+                while len(rows) < n:
+                    rows += pickle.load(pipe)
+                write_trace(path, EpisodeTrace(policy, seed, horizon, rows))
+        status = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+class _TraceWriter:
+    """One forked child that writes the traces it is handed, in order.
+
+    ``write`` pickles a trace to the child in chunks of at most ``BLOCK``
+    rows and returns once the pipe has taken them, so the parent runs the
+    next episode while the child formats this one through ``write_trace``.
+    Leaving the ``with`` block closes the pipe and waits until the child has
+    written every trace it was handed, whether or not the block raised. A
+    failed write then raises, unless the block is already raising: the
+    block's exception is never replaced (the child's traceback is on
+    stderr either way).
+    """
+
+    def __enter__(self) -> "_TraceWriter":
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(write_fd)
+            _write_traces_from(read_fd)
+        os.close(read_fd)
+        self._pid = pid
+        self._pipe = os.fdopen(write_fd, "wb")
+        return self
+
+    def write(self, path: Path, trace: EpisodeTrace) -> None:
+        rows = trace.rows
+        pickle.dump((path, trace.policy, trace.seed, trace.horizon, len(rows)), self._pipe)
+        for i in range(0, len(rows), BLOCK):
+            pickle.dump(rows[i : i + BLOCK], self._pipe)
+        self._pipe.flush()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self._pipe.close()
+        except BrokenPipeError:
+            pass  # the child has exited; its status says why
+        _, status = os.waitpid(self._pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        # A write into the pipe of a child that failed raises BrokenPipeError.
+        if code and (exc_type is None or issubclass(exc_type, BrokenPipeError)):
+            message = f"the trace writer failed (exit status {code}); its traceback is on stderr"
+            raise RuntimeError(message) from exc
 
 
 @dataclass(frozen=True)
@@ -197,6 +284,8 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
 
     Each (policy, horizon) cell's final ratios across seeds become one
     summary; grids of three or more horizons also get gap-decay slopes.
+    Every trace is written before the JSON outputs and before this returns
+    or raises; a failed trace write raises and leaves no summary.
     """
     out_dir = Path(cfg.output_dir)
     traces_dir = out_dir / "traces"
@@ -228,23 +317,24 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
 
     trace_paths = []
     summaries = []
-    for kind in cfg.policies:
-        for horizon in cfg.horizons:
-            finals = []
-            for seed in cfg.seeds:
-                trace = run_episode(
-                    cfg.environment,
-                    kind,
-                    horizon,
-                    seed,
-                    lr_mode=cfg.lr_mode,
-                    stride=cfg.log_stride,
-                )
-                path = traces_dir / f"trace-{trace_run_id(kind.name, horizon, seed)}.csv"
-                write_trace(path, trace)
-                trace_paths.append(path)
-                finals.append(trace.final_ratio)
-            summaries.append(summarize_finals(kind.name, horizon, finals, oracle.theta_star))
+    with _TraceWriter() as writer:
+        for kind in cfg.policies:
+            for horizon in cfg.horizons:
+                finals = []
+                for seed in cfg.seeds:
+                    trace = run_episode(
+                        cfg.environment,
+                        kind,
+                        horizon,
+                        seed,
+                        lr_mode=cfg.lr_mode,
+                        stride=cfg.log_stride,
+                    )
+                    path = traces_dir / f"trace-{trace_run_id(kind.name, horizon, seed)}.csv"
+                    writer.write(path, trace)
+                    trace_paths.append(path)
+                    finals.append(trace.final_ratio)
+                summaries.append(summarize_finals(kind.name, horizon, finals, oracle.theta_star))
     summaries = tuple(summaries)
     gap_slopes = _gap_slopes(cfg, summaries)
 

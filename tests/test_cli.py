@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import dolrm
 import dolrm.runner
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
-from dolrm.harness import EpisodeTrace, run_episode
+from dolrm.harness import BLOCK, EpisodeTrace, run_episode
 from dolrm.policies import PolicyKind
 from dolrm.runner import TRACE_HEADER, run_experiment, trace_run_id, write_trace
 
@@ -154,15 +157,7 @@ class TestRunExperiment:
     def test_crashed_rerun_leaves_no_summary(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
         first = run_experiment(cfg)
-        calls = []
-
-        def crash_on_third_episode(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise RuntimeError("episode 3 failed")
-            return run_episode(*args, **kwargs)
-
-        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_third_episode)
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_episode(3))
         with pytest.raises(RuntimeError, match="episode 3"):
             run_experiment(cfg)
         for name in ("summary.json", "summary.txt", "oracle.json", "resolved_config.json"):
@@ -212,6 +207,141 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         doc = json.loads(out.summary_json_path.read_text())
         assert "dolrm" in doc["gap_slopes"]
+
+
+def crash_on_episode(n):
+    """A stand-in for run_episode that raises on its n-th call."""
+    calls = []
+
+    def crashing_run_episode(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n:
+            raise RuntimeError(f"episode {n} failed")
+        return run_episode(*args, **kwargs)
+
+    return crashing_run_episode
+
+
+def assert_no_child_left():
+    # raises ChildProcessError only when this process has no child at all,
+    # running or exited and not yet waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_a_bad_row(path, trace):
+    """write_trace on the trace with a last row that cannot be formatted."""
+    *rows, (t, s, a, _, *rest) = trace.rows
+    write_trace(path, EpisodeTrace(trace.policy, trace.seed, trace.horizon, [*rows, (t, s, a, "bad", *rest)]))
+
+
+class TestTraceWriter:
+    """run_experiment hands every trace to one forked writer process."""
+
+    # None keeps BLOCK (4096), so the longest trace crosses the pipe in two
+    # chunks; 3 cuts the traces of 3 and 7 rows into full and partial chunks
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_traces_match_the_row_reference(self, tmp_path, monkeypatch, block):
+        horizons = (1, BLOCK + 1)
+        if block is not None:
+            monkeypatch.setattr(dolrm.runner, "BLOCK", block)
+            horizons = (3, 7)
+        kinds = (PolicyKind("dolrm"), PolicyKind("ts"))
+        noisy = EnvironmentSpec((0.8, 0.2), TWO_TYPE_ARMS, 1.0)
+        cfg = tiny_config(tmp_path, environment=noisy, policies=kinds, horizons=horizons, log_stride=1)
+        out = run_experiment(cfg)
+        cells = list(itertools.product(kinds, horizons, cfg.seeds))
+        assert len(out.trace_paths) == len(cells)
+        for path, (kind, horizon, seed) in zip(out.trace_paths, cells):
+            trace = run_episode(cfg.environment, kind, horizon, seed, lr_mode=cfg.lr_mode, stride=1)
+            assert len(trace.rows) == horizon
+            assert path.read_text() == reference_trace_csv(trace)
+
+    def test_no_writer_outlives_the_run(self, tmp_path, monkeypatch):
+        run_experiment(tiny_config(tmp_path))
+        assert_no_child_left()
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_episode(2))
+        with pytest.raises(RuntimeError, match="episode 2"):
+            run_experiment(tiny_config(tmp_path))
+        assert_no_child_left()
+
+    def test_failed_write_raises_and_leaves_no_summary(self, tmp_path, monkeypatch, capfd):
+        # the second of two episodes fails to write, after the first was written
+        def fail_on_second_trace(path, trace):
+            (write_a_bad_row if trace.seed == 1 else write_trace)(path, trace)
+
+        monkeypatch.setattr(dolrm.runner, "write_trace", fail_on_second_trace)
+        cfg = tiny_config(tmp_path, policies=(PolicyKind("dolrm"),))
+        with pytest.raises(RuntimeError, match="trace writer failed"):
+            run_experiment(cfg)
+        out = tmp_path / "out"
+        assert [path.name for path in out.rglob("*") if path.is_file()] == ["trace-dolrm-T50-seed0.csv"]
+        assert "TypeError" in capfd.readouterr().err
+        assert_no_child_left()
+
+    def test_failed_write_does_not_replace_the_runs_own_error(self, tmp_path, monkeypatch):
+        # the first trace fails to write and the second episode raises; the
+        # parent hands over one trace and never writes to the pipe again
+        monkeypatch.setattr(dolrm.runner, "write_trace", write_a_bad_row)
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_episode(2))
+        with pytest.raises(RuntimeError, match="episode 2"):
+            run_experiment(tiny_config(tmp_path))
+        assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+        assert_no_child_left()
+
+    def test_a_failed_run_waits_for_the_traces_it_handed_over(self, tmp_path, monkeypatch):
+        # the writer is slower than the episodes, so it is still writing the
+        # first trace when the third episode raises
+        def slow_write_trace(path, trace):
+            time.sleep(0.2)
+            write_trace(path, trace)
+
+        monkeypatch.setattr(dolrm.runner, "write_trace", slow_write_trace)
+        monkeypatch.setattr("dolrm.runner.run_episode", crash_on_episode(3))
+        with pytest.raises(RuntimeError, match="episode 3"):
+            run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),), seeds=(0, 1, 2)))
+        names = sorted(path.name for path in (tmp_path / "out" / "traces").iterdir())
+        assert names == ["trace-dolrm-T50-seed0.csv", "trace-dolrm-T50-seed1.csv"]
+
+    def test_writer_finishes_its_trace_through_a_ctrl_c(self, tmp_path, monkeypatch):
+        # a Ctrl-C interrupts the whole process group: the writer, caught in
+        # the middle of the first trace, ignores it and still writes that trace
+        writing = tmp_path / "writing"
+
+        def slow_write_trace(path, trace):
+            writing.touch()
+            time.sleep(0.2)
+            write_trace(path, trace)
+
+        writers = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            writers.append(pid)
+            return pid
+
+        calls = []
+
+        def interrupted_run_episode(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                deadline = time.monotonic() + 30
+                while not writing.exists():
+                    assert time.monotonic() < deadline, "the writer never started the first trace"
+                    time.sleep(0.01)
+                os.kill(writers[0], signal.SIGINT)
+                raise KeyboardInterrupt
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(dolrm.runner, "write_trace", slow_write_trace)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr("dolrm.runner.run_episode", interrupted_run_episode)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),)))
+        names = [path.name for path in (tmp_path / "out" / "traces").iterdir()]
+        assert names == ["trace-dolrm-T50-seed0.csv"]
+        assert_no_child_left()
 
 
 # The child interpreter imports the same dolrm as this one, installed or not.

@@ -17,6 +17,7 @@ from dolrm.harness import (
     ARRIVAL_STREAM,
     FEEDBACK_STREAM,
     POLICY_STREAM,
+    _cdf_array,
     _seed_sequence,
     default_stride,
     feedback_noise,
@@ -32,7 +33,7 @@ from dolrm.policies import (
     ThompsonSamplingPolicy,
     make_policy,
 )
-from dolrm.runner import fit_loglog_slope, run_experiment, summarize_finals
+from dolrm.runner import _gap_slopes, fit_loglog_slope, run_experiment, summarize_finals
 
 from support import PerCallThompsonSampling, StubRng, sample_feedback, sample_task, two_type_env
 from test_cli import tiny_config
@@ -216,6 +217,13 @@ class TestArrivalSampling:
         batch = sample_tasks(spec, len(uniforms), StubRng(uniforms=uniforms)).tolist()
         assert batch == [sample_task(spec, StubRng(uniforms=[u])) for u in uniforms]
 
+    def test_cdf_array_is_built_once_per_running_sums_and_read_only(self, p08):
+        cdf = _cdf_array(p08.arrival_cdf)
+        assert cdf.tolist() == list(p08.arrival_cdf)
+        assert not cdf.flags.writeable
+        sample_tasks(p08, 3, np.random.default_rng(0))
+        assert _cdf_array(p08.arrival_cdf) is cdf
+
     def test_batch_matches_scalar_draws(self, p08):
         n = 200
         batch = sample_tasks(p08, n, np.random.default_rng(42))
@@ -240,6 +248,28 @@ class TestRunEpisode:
         assert ratio == 2.0
         assert trace.final_ratio == 2.0
         assert theta is not None
+
+    @pytest.mark.parametrize("horizon", [8, 15])
+    def test_runs_exactly_horizon_rounds(self, p08, monkeypatch, horizon):
+        # blocks of 7 rounds: the last block stops at the horizon; rounds past
+        # it would log no row, so only the count of updates shows them
+        monkeypatch.setattr(dolrm.harness, "BLOCK", 7)
+        updates = []
+
+        def counting_make_policy(*args):
+            policy = make_policy(*args)
+            update = policy.update
+
+            def counted(*feedback):
+                updates.append(feedback)
+                update(*feedback)
+
+            policy.update = counted
+            return policy
+
+        monkeypatch.setattr(dolrm.harness, "make_policy", counting_make_policy)
+        trace = run_episode(p08, DOLRM, horizon, 0, stride=1)
+        assert len(updates) == len(trace.rows) == horizon
 
     def test_noiseless_fixed_maps_approach_expected_ratios(self):
         spec = two_type_env(sigma=0.0)
@@ -473,6 +503,13 @@ class TestGapSlope:
         assert out.gap_slopes == {"only": None}
         assert [s.mean_gap for s in out.summaries] == [0.0, 0.0, 0.0]
         assert json.loads(out.summary_json_path.read_text())["gap_slopes"] == {"only": None}
+
+    def test_infinite_gap_reports_no_slope(self, tmp_path):
+        cfg = tiny_config(tmp_path, policies=(DOLRM,), horizons=(10, 20, 40))
+        finals = ((10, 2.5), (20, math.inf), (40, 2.59))
+        summaries = tuple(summarize_finals("dolrm", h, [ratio], theta_star=2.6) for h, ratio in finals)
+        assert [s.mean_gap for s in summaries][1] == math.inf
+        assert _gap_slopes(cfg, summaries) == {"dolrm": None}
 
     def test_learner_gap_decays_on_small_grid(self, tmp_path, p08):
         out = experiment(tmp_path, p08, (DOLRM,), (500, 2_000, 8_000), tuple(range(5)))

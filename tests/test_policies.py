@@ -337,6 +337,15 @@ class TestDolRmPolicy:
         policy.update(1, 0, reward=3.0, cost=1.0)
         assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
 
+    def test_score_that_overflows_only_as_a_difference_steps_with_sentinels(self):
+        # r_hat = -1e308 and theta * c_check = 1e308 are finite, and so is
+        # their sum, but the score r_hat - theta * c_check is -inf: theta
+        # steps with r_max=3, c_min=1; round 1 decaying -> eta 0.5
+        policy = self.exact_estimate_policy(1.0, [(-1e308, 1e308), (1.0, 1.0)])
+        assert policy.reward_ucb[1][0] == -1e308 and policy.cost_lcb[1][0] == 1e308
+        policy.update(1, 0, reward=3.0, cost=1.0)
+        assert policy.theta == 1.0 + 0.5 * (3.0 - 1.0 * 1.0)
+
     @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
     @property_run
     @given(
@@ -500,6 +509,14 @@ class TestThompsonSampling:
         # keeps its score positive and winning
         rng = StubRng(normals=[0.0, 0.0, -5.0, 0.0])
         assert ts_policy(stats, rng).select(0) == 0
+
+    def test_no_score_above_minus_inf_plays_arm_zero(self):
+        # NaN means (overflowed noise) make every score NaN, and NaN beats nothing
+        stats = ArmStatistics([2])
+        stats.counts[0] = [1, 1]
+        stats.mean_rewards[0] = [math.nan, math.nan]
+        stats.mean_costs[0] = [math.nan, math.nan]
+        assert ts_policy(stats, StubRng(normals=[0.0, 0.0, 0.0, 0.0])).select(0) == 0
 
     def test_singleton_and_forced_exploration(self):
         single = ArmStatistics([1])

@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
 HARNESS = "src/dolrm/harness.py"
-ENV = "src/dolrm/env.py"
+CONFIG = "src/dolrm/config.py"
 RUNNER = "src/dolrm/runner.py"
 RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
@@ -149,12 +149,7 @@ MUTANTS = [
         "def _generator(seed: int, stream: int) -> np.random.Generator:\n"
         "    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))\n",
     ),
-    Mutant(
-        "cdf-sentinel-at-last-index",
-        ENV,
-        "        return sums[:last] + (math.inf,) * (self.num_types - last)\n",
-        "        return sums[:-1] + (math.inf,)\n",
-    ),
+    Mutant("cdf-sentinel-at-last-index", HARNESS, "    cdf[last:] = math.inf\n", "    cdf[-1:] = math.inf\n"),
     # run_episode must call the select the benchmark installs on the instance
     Mutant(
         "harness-class-select",
@@ -177,7 +172,19 @@ MUTANTS = [
         "        if not -math.inf < r_hat - theta * c_check < math.inf:",
         "        if not -math.inf < r_hat + theta * c_check < math.inf:",
     ),
-    Mutant("cdf-array-writable", HARNESS, "    array.flags.writeable = False\n", ""),
+    Mutant("cdf-array-writable", HARNESS, "    cdf.flags.writeable = False\n", ""),
+    Mutant(
+        "ts-accepts-negative-type",
+        POLICIES,
+        '        if s < 0:\n            raise IndexError(f"negative task type {s}")\n        stats = self.stats\n',
+        "        stats = self.stats\n",
+    ),
+    Mutant(
+        "number-accepts-bool",
+        CONFIG,
+        "    if isinstance(value, bool) or not isinstance(value, (int, float)):\n",
+        "    if not isinstance(value, (int, float)):\n",
+    ),
     # the trace writer: the run must wait for it, see its failures, let it
     # drain after the run's own error and never replace that error
     Mutant(
@@ -200,6 +207,20 @@ MUTANTS = [
         RUNNER,
         "        if code and (exc_type is None or issubclass(exc_type, BrokenPipeError)):\n",
         "        if code:\n",
+    ),
+    # a write into the pipe of a writer that already failed raises
+    # BrokenPipeError, which is the writer's failure, not the run's own
+    Mutant(
+        "writer-broken-pipe-raw",
+        RUNNER,
+        "        if code and (exc_type is None or issubclass(exc_type, BrokenPipeError)):\n",
+        "        if code and exc_type is None:\n",
+    ),
+    Mutant(
+        "writer-leaks-pipe-on-fork-failure",
+        RUNNER,
+        "        except OSError:\n            os.close(read_fd)\n            os.close(write_fd)\n            raise\n",
+        "        except OSError:\n            raise\n",
     ),
 ]
 
@@ -252,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = "killed"
             if verdict != "killed":
                 bad.append(mutant.name)
-            print(f"{mutant.name:<30} {verdict}", flush=True)
+            print(f"{mutant.name:<34} {verdict}", flush=True)
             shutil.rmtree(tree)
     print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} killed")
     return 1 if bad else 0

@@ -8,9 +8,9 @@ Observations are the means corrupted by additive Gaussian noise.
 
 This module is the model alone: the spec, its validation and its derived
 bounds. A spec validates itself when it is built, so every spec in hand is
-valid. What depends on the spec alone, its bounds and its arrival CDF, a
-spec derives once and keeps outside its fields. It draws nothing and
-imports no numpy; the seeded arrival and noise draws live in ``harness``.
+valid. Its bounds, which depend on the spec alone, a spec derives once and
+keeps outside its fields. It draws nothing and imports no numpy; the
+seeded arrival and noise draws live in ``harness``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 DEFAULT_NOISE_SIGMA = 1.0
 
@@ -61,24 +60,12 @@ class EnvironmentSpec:
     def num_arms(self, s: int) -> int:
         return len(self.arms[s])
 
-    # Cached in the instance __dict__, so neither is a field: equality, the
+    # Cached in the instance __dict__, so it is not a field: equality, the
     # hash and the config echo see the three fields alone.
     @cached_property
     def bounds(self) -> DerivedBounds:
         """``derived_bounds(self)``, computed once per spec."""
         return derived_bounds(self)
-
-    @cached_property
-    def arrival_cdf(self) -> tuple[float, ...]:
-        """Running sums of ``arrival_probs``, +inf from the last arriving type on.
-
-        The sums are the ones an inverse-CDF draw compares its uniform with.
-        Rounding can leave the last positive-probability type's sum below 1;
-        the +inf sends every draw above the sums before it to that type.
-        """
-        last = max(s for s, p in enumerate(self.arrival_probs) if p > 0.0)
-        sums = tuple(accumulate(self.arrival_probs))
-        return sums[:last] + (math.inf,) * (self.num_types - last)
 
 
 @dataclass(frozen=True)

@@ -58,21 +58,25 @@ def sample_tasks(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.
 
     Each type is the first index whose cumulative probability strictly
     exceeds its uniform draw, which makes arrival sequences reproducible
-    across implementations sharing the uniform stream. Accumulated rounding
-    can leave the last cumulative below 1; ``spec.arrival_cdf`` is +inf from
-    the last type with positive probability on, so draws above it map to
-    that type with no clamp.
+    across implementations sharing the uniform stream.
     """
-    return _cdf_array(spec.arrival_cdf).searchsorted(rng.random(n), side="right")
+    return _cdf_array(spec.arrival_probs).searchsorted(rng.random(n), side="right")
 
 
 @lru_cache(maxsize=64)
-def _cdf_array(cdf: tuple[float, ...]) -> np.ndarray:
-    # searchsorted would turn the tuple into a new array on every call; the
-    # cached array is read-only, so specs with equal sums can share it.
-    array = np.array(cdf)
-    array.flags.writeable = False
-    return array
+def _cdf_array(probs: tuple[float, ...]) -> np.ndarray:
+    """The left-to-right running sums of ``probs``, +inf from the last arriving type on.
+
+    Accumulated rounding can leave the last positive-probability type's sum
+    below 1; the +inf sends every draw above the sums before it to that
+    type, with no clamp. Built once per distinct probability vector and
+    read-only, so specs with equal vectors share it.
+    """
+    cdf = np.cumsum(probs)
+    last = max(s for s, p in enumerate(probs) if p > 0.0)
+    cdf[last:] = math.inf
+    cdf.flags.writeable = False
+    return cdf
 
 
 def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import math
@@ -229,6 +230,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def record_forks(monkeypatch):
+    """Patch os.fork to append each child's pid to the returned list."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 def write_a_bad_row(path, trace):
     """write_trace on the trace with a last row that cannot be formatted."""
     *rows, (t, s, a, _, *rest) = trace.rows
@@ -279,6 +294,54 @@ class TestTraceWriter:
         assert "TypeError" in capfd.readouterr().err
         assert_no_child_left()
 
+    def test_a_writer_that_failed_early_is_reported_as_the_writers_failure(self, tmp_path, monkeypatch, capfd):
+        # the first trace fails to write and the writer has exited before the
+        # second is handed over, so handing it over meets a closed pipe
+        writers = record_forks(monkeypatch)
+        calls = []
+
+        def run_episode_once_the_writer_exited(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                # WNOWAIT leaves the exited writer for the run to wait for
+                deadline = time.monotonic() + 30
+                while os.waitid(os.P_PID, writers[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                    assert time.monotonic() < deadline, "the writer never exited"
+                    time.sleep(0.01)
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(dolrm.runner, "write_trace", write_a_bad_row)
+        monkeypatch.setattr("dolrm.runner.run_episode", run_episode_once_the_writer_exited)
+        with pytest.raises(RuntimeError, match="trace writer failed") as failed:
+            run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),), seeds=(0, 1, 2)))
+        assert isinstance(failed.value.__cause__, BrokenPipeError)
+        assert len(calls) == 2
+        assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+        assert "TypeError" in capfd.readouterr().err
+        assert_no_child_left()
+
+    def test_a_failed_fork_closes_both_pipe_ends(self, tmp_path, monkeypatch):
+        fds = []
+        pipe = os.pipe
+
+        def recording_pipe():
+            ends = pipe()
+            fds.extend(ends)
+            return ends
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "no process for the writer")
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError, match="no process for the writer"):
+            run_experiment(tiny_config(tmp_path))
+        assert len(fds) == 2
+        for fd in fds:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
+
     def test_failed_write_does_not_replace_the_runs_own_error(self, tmp_path, monkeypatch):
         # the first trace fails to write and the second episode raises; the
         # parent hands over one trace and never writes to the pipe again
@@ -313,14 +376,7 @@ class TestTraceWriter:
             time.sleep(0.2)
             write_trace(path, trace)
 
-        writers = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            writers.append(pid)
-            return pid
-
+        writers = record_forks(monkeypatch)
         calls = []
 
         def interrupted_run_episode(*args, **kwargs):
@@ -335,7 +391,6 @@ class TestTraceWriter:
             return run_episode(*args, **kwargs)
 
         monkeypatch.setattr(dolrm.runner, "write_trace", slow_write_trace)
-        monkeypatch.setattr(os, "fork", recording_fork)
         monkeypatch.setattr("dolrm.runner.run_episode", interrupted_run_episode)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(tiny_config(tmp_path, policies=(PolicyKind("dolrm"),)))

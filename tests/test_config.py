@@ -343,3 +343,32 @@ def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, mes
         parse_config(path)
     assert str(parsed.value) == str(built.value)
     assert not out.exists()
+
+
+# One case per JSON type check of parse_config: the config keys that break
+# it and the whole error, which starts with the key path.
+INLINE_ARMS = [[[1, 1]]]
+JSON_TYPE_ERRORS = [
+    (
+        {"environment": {"arrival_probs": 1.0, "arms": INLINE_ARMS}},
+        "environment.arrival_probs: expected a list of probabilities",
+    ),
+    ({"noise_sigma": "1"}, "noise_sigma: expected a number, got str"),
+    # a bool is an int to Python, and True would pass as a sigma of 1.0
+    ({"noise_sigma": True}, "noise_sigma: expected a number, got bool"),
+    (
+        {"environment": {"arrival_probs": [1.0], "arms": [[[1, False]]]}},
+        "environment.arms[0][0][1]: expected a number, got bool",
+    ),
+    ({"policies": [{"kind": 3}]}, "policies[0].kind: expected a string, got int"),
+    ({"environment": ["two-type-p08"]}, "environment: expected a preset name or object, got list"),
+    ({"policies": ["dolrm"]}, "policies[0]: expected an object, got str"),
+    ({"seeds": 5}, "seeds: expected a list or a count/base object, got int"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", JSON_TYPE_ERRORS, ids=[m for _, m in JSON_TYPE_ERRORS])
+def test_json_type_errors_name_the_key_path(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as err:
+        parse(tmp_path, **overrides)
+    assert str(err.value) == message

@@ -148,15 +148,11 @@ def test_bounds_are_finite_numbers(p08):
 def test_cached_derivations_leave_equality_and_hash_alone(p08):
     other = two_type_env()
     assert p08.bounds == derived_bounds(p08)
-    assert p08.arrival_cdf == (0.8, math.inf)
-    assert "arrival_cdf" not in vars(other)
+    # one spec with its bounds cached, one without
+    assert "bounds" in vars(p08) and "bounds" in vars(other)
+    del vars(other)["bounds"]
     assert p08 == other and hash(p08) == hash(other)
     assert [f.name for f in dataclasses.fields(p08)] == ["arrival_probs", "arms", "noise_sigma"]
-
-
-def test_arrival_cdf_is_inf_from_the_last_arriving_type():
-    spec = EnvironmentSpec((0.0, 0.5, 0.0, 0.5, 0.0, 0.0), (((1.0, 1.0),),) * 6)
-    assert spec.arrival_cdf == (0.0, 0.5, 0.5, math.inf, math.inf, math.inf)
 
 
 def test_model_modules_import_without_numpy():
@@ -166,7 +162,7 @@ def test_model_modules_import_without_numpy():
         "import sys\n"
         "import dolrm.env, dolrm.policies, dolrm.oracle, dolrm.config\n"
         "spec = dolrm.env.EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((2.0, 1.0),)))\n"
-        "spec.bounds, spec.arrival_cdf\n"
+        "spec.bounds\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
     )
     proc = subprocess.run(

@@ -217,12 +217,22 @@ class TestArrivalSampling:
         batch = sample_tasks(spec, len(uniforms), StubRng(uniforms=uniforms)).tolist()
         assert batch == [sample_task(spec, StubRng(uniforms=[u])) for u in uniforms]
 
-    def test_cdf_array_is_built_once_per_running_sums_and_read_only(self, p08):
-        cdf = _cdf_array(p08.arrival_cdf)
-        assert cdf.tolist() == list(p08.arrival_cdf)
+    def test_cdf_array_is_inf_from_the_last_arriving_type(self):
+        # zero-probability types first, in the middle and last
+        assert _cdf_array((0.0, 0.5, 0.0, 0.5, 0.0, 0.0)).tolist() == [0.0, 0.5, 0.5, *[math.inf] * 3]
+        # the left-to-right sums an inverse-CDF draw compares its uniform with
+        seven = (0.3, 0.1, 0.2, 0.1, 0.05, 0.1, 0.15)
+        assert _cdf_array(seven).tolist() == [*itertools.accumulate(seven[:-1]), math.inf]
+
+    def test_cdf_array_is_built_once_per_probability_vector_and_read_only(self, p08):
+        cdf = _cdf_array(p08.arrival_probs)
+        assert cdf.tolist() == [0.8, math.inf]
         assert not cdf.flags.writeable
+        misses = _cdf_array.cache_info().misses
         sample_tasks(p08, 3, np.random.default_rng(0))
-        assert _cdf_array(p08.arrival_cdf) is cdf
+        sample_tasks(EnvironmentSpec(p08.arrival_probs, (((1.0, 1.0),),) * 2), 3, np.random.default_rng(0))
+        assert _cdf_array(p08.arrival_probs) is cdf
+        assert _cdf_array.cache_info().misses == misses
 
     def test_batch_matches_scalar_draws(self, p08):
         n = 200

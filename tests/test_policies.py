@@ -518,6 +518,11 @@ class TestThompsonSampling:
         stats.mean_costs[0] = [math.nan, math.nan]
         assert ts_policy(stats, StubRng(normals=[0.0, 0.0, 0.0, 0.0])).select(0) == 0
 
+    def test_rejects_negative_type(self, p08):
+        # type -1 would otherwise read the last type's counts and explore its arm 0
+        with pytest.raises(IndexError, match="negative task type -1"):
+            ThompsonSamplingPolicy(p08, np.random.default_rng(0)).select(-1)
+
     def test_singleton_and_forced_exploration(self):
         single = ArmStatistics([1])
         single.counts[0] = [3]

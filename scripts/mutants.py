@@ -216,6 +216,13 @@ MUTANTS = [
         "        if code and (exc_type is None or issubclass(exc_type, BrokenPipeError)):\n",
         "        if code and exc_type is None:\n",
     ),
+    # the run drops each trace once the writer has it, so it holds one at a time
+    Mutant(
+        "runner-keeps-last-trace",
+        RUNNER,
+        "                    del trace  # the writer has it; the next episode runs without it\n",
+        "",
+    ),
     Mutant(
         "writer-leaks-pipe-on-fork-failure",
         RUNNER,

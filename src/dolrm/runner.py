@@ -19,8 +19,10 @@ digits so re-runs compare byte for byte. The JSON documents are strict
 JSON: an infinite or undefined (NaN) number is written as null.
 
 The traces are written by one forked writer process per run, in the order
-the episodes finish, while the next episode runs (``_TraceWriter``). This
-needs ``os.fork``, so POSIX.
+the episodes finish, while the next episode runs (``_TraceWriter``). Each
+trace crosses to it as one pickle, and the run drops the trace once it is
+handed over, so it holds one trace at a time. This needs ``os.fork``, so
+POSIX.
 """
 
 from __future__ import annotations
@@ -114,11 +116,7 @@ def _write_traces_from(read_fd: int) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with os.fdopen(read_fd, "rb") as pipe:
             while pipe.peek(1):  # empty once the parent has closed its end
-                path, policy, seed, horizon, n = pickle.load(pipe)
-                rows = []
-                while len(rows) < n:
-                    rows += pickle.load(pipe)
-                write_trace(path, EpisodeTrace(policy, seed, horizon, rows))
+                write_trace(*pickle.load(pipe))
         status = 0
     except BaseException:
         import traceback
@@ -132,9 +130,11 @@ def _write_traces_from(read_fd: int) -> None:
 class _TraceWriter:
     """One forked child that writes the traces it is handed, in order.
 
-    ``write`` pickles a trace to the child in chunks of at most ``BLOCK``
-    rows and returns once the pipe has taken them, so the parent runs the
-    next episode while the child formats this one through ``write_trace``.
+    ``write`` pickles a trace to the child whole and returns once the pipe
+    has taken it, so the parent runs the next episode while the child
+    formats this one through ``write_trace``. ``pickle.dump`` builds the
+    whole pickle (about 64 B per row) before it writes; the parent holds it
+    only during the hand-over.
     Leaving the ``with`` block closes the pipe and waits until the child has
     written every trace it was handed, whether or not the block raised. A
     failed write then raises, unless the block is already raising: the
@@ -159,10 +159,7 @@ class _TraceWriter:
         return self
 
     def write(self, path: Path, trace: EpisodeTrace) -> None:
-        rows = trace.rows
-        pickle.dump((path, trace.policy, trace.seed, trace.horizon, len(rows)), self._pipe)
-        for i in range(0, len(rows), BLOCK):
-            pickle.dump(rows[i : i + BLOCK], self._pipe)
+        pickle.dump((path, trace), self._pipe)
         self._pipe.flush()
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -334,6 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
                     writer.write(path, trace)
                     trace_paths.append(path)
                     finals.append(trace.final_ratio)
+                    del trace  # the writer has it; the next episode runs without it
                 summaries.append(summarize_finals(kind.name, horizon, finals, oracle.theta_star))
     summaries = tuple(summaries)
     gap_slopes = _gap_slopes(cfg, summaries)

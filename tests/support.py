@@ -2,7 +2,8 @@
 readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
 the oracle, the per-arm dolrm decision, per-call Thompson sampling, UCB1 on
-the ratio signal and the trace CSV line) and a stub generator.
+the ratio signal and the trace CSV line), a skewed ratio step that the theta
+criterion must reject, and a stub generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -20,7 +21,14 @@ from dolrm.env import EnvironmentSpec
 from dolrm.estimator import ArmStatistics
 from dolrm.harness import EpisodeTrace
 from dolrm.oracle import OracleResult
-from dolrm.policies import DolRmPolicy, PolicyKind, ThompsonSamplingPolicy
+from dolrm.policies import (
+    DEFAULT_LR_MODE,
+    DolRmPolicy,
+    OracleRmPolicy,
+    PolicyKind,
+    ThompsonSamplingPolicy,
+    learning_rate,
+)
 
 TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
 
@@ -210,6 +218,27 @@ class PerArmDolRm(DolRmPolicy):
                 best_score = score
                 best = a
         return best
+
+
+class SkewedStepOracleRm(OracleRmPolicy):
+    """Negative control for the theta criterion: oracle-rm with a skewed step.
+
+    Each step moves theta toward the root of r_hat - 0.9 * theta * c_check,
+    so theta converges to theta* / 0.9 (about 2.889 on p08, against 2.6).
+    Its decisions, and so its ratios, barely move.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
+        super().__init__(spec, horizon, lr_mode)
+        self.horizon = horizon
+        self.lr_mode = lr_mode
+
+    def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        eta = learning_rate(self.lr_mode, self.c_min, self.horizon, self.round)
+        r_hat = self.reward_ucb[s][a]
+        c_check = 0.9 * self.cost_lcb[s][a]
+        self.theta = ratio_step(self.theta, eta, r_hat, c_check, self.theta_min, self.theta_max)
+        self.round += 1
 
 
 class PerCallThompsonSampling(ThompsonSamplingPolicy):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -253,8 +254,9 @@ def write_a_bad_row(path, trace):
 class TestTraceWriter:
     """run_experiment hands every trace to one forked writer process."""
 
-    # None keeps BLOCK (4096), so the longest trace crosses the pipe in two
-    # chunks; 3 cuts the traces of 3 and 7 rows into full and partial chunks
+    # runner.BLOCK sets only write_trace's formatting blocks: None keeps 4096,
+    # so the longest trace is formatted in two blocks; 3 cuts the traces of 3
+    # and 7 rows into full and partial blocks
     @pytest.mark.parametrize("block", [None, 3])
     def test_traces_match_the_row_reference(self, tmp_path, monkeypatch, block):
         horizons = (1, BLOCK + 1)
@@ -271,6 +273,22 @@ class TestTraceWriter:
             trace = run_episode(cfg.environment, kind, horizon, seed, lr_mode=cfg.lr_mode, stride=1)
             assert len(trace.rows) == horizon
             assert path.read_text() == reference_trace_csv(trace)
+
+    def test_no_trace_outlives_its_hand_over(self, tmp_path, monkeypatch):
+        # the run keeps each trace's path and final ratio, so the previous
+        # trace is gone by the time the next episode starts
+        traces = []
+
+        def run_episode_once_the_last_trace_died(*args, **kwargs):
+            assert not traces or traces[-1]() is None, "the previous trace is still referenced"
+            trace = run_episode(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr("dolrm.runner.run_episode", run_episode_once_the_last_trace_died)
+        cfg = tiny_config(tmp_path, horizons=(3, 50), log_stride=1)
+        out = run_experiment(cfg)
+        assert len(traces) == len(out.trace_paths) == len(ALL_KINDS) * 2 * 2
 
     def test_no_writer_outlives_the_run(self, tmp_path, monkeypatch):
         run_experiment(tiny_config(tmp_path))

@@ -31,6 +31,7 @@ POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
 HARNESS = "src/dolrm/harness.py"
 CONFIG = "src/dolrm/config.py"
+ORACLE = "src/dolrm/oracle.py"
 RUNNER = "src/dolrm/runner.py"
 RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
@@ -88,6 +89,20 @@ MUTANTS = [
         RUNNER,
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,',
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.11g,',
+    ),
+    # dolrm's cells must start at +inf / c_min, not at oracle-rm's true means
+    Mutant(
+        "dolrm-keeps-true-means",
+        POLICIES,
+        "        self.reward_ucb = [[math.inf] * len(arms_s) for arms_s in spec.arms]\n"
+        "        self.cost_lcb = [[self.c_min] * len(arms_s) for arms_s in spec.arms]\n",
+        "",
+    ),
+    Mutant(
+        "oracle-no-convergence-check",
+        ORACLE,
+        '    raise RuntimeError(f"ratio iteration did not converge within {DINKELBACH_MAX_ITER} updates")\n',
+        '    return OracleResult(theta, PolicyKind("fixed", actions), DINKELBACH_MAX_ITER)\n',
     ),
     Mutant(
         "r-max-sentinel",

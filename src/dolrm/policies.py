@@ -3,16 +3,17 @@
 Every policy exposes the same sequential interface: ``select(s)`` returns an
 arm index for the arriving task type and only reads the policy's state;
 ``update(s, a, reward, cost)`` ingests the feedback of playing arm ``a`` on
-type ``s``. The two policies carrying a ratio iterate, dolrm and oracle-rm,
-share one decision rule, ``greedy_arm`` over their per-cell estimates, and
-step theta in ``update`` with cell (s, a)'s reward and cost estimates before
-folding in the feedback. All argmax ties break toward the lowest arm index,
-and every policy that learns from data pulls each unseen arm of an arriving
-type once before trusting its estimates: dolrm because an unpulled cell's
-reward estimate is +inf, ucb and ts by an explicit check. A type with one
-arm is played without scoring, except by ts, whose stream contract has it
-consume its draws first. Policies carrying a ratio iterate expose it as
-``theta``; for the others ``theta`` is None.
+type ``s``. oracle-rm is the decision module: it plays ``greedy_arm`` over
+its per-cell reward and cost estimates, the true means, and steps theta in
+``update`` with cell (s, a)'s estimates. dolrm extends it with learned
+estimates, which it refreshes from the feedback after that step. All argmax
+ties break toward the lowest arm index, and every policy that learns from
+data pulls each unseen arm of an arriving type once before trusting its
+estimates: dolrm because an unpulled cell's reward estimate is +inf, ucb and
+ts by an explicit check. A type with one arm is played without scoring,
+except by ts, whose stream contract has it consume its draws first. Policies
+carrying a ratio iterate expose it as ``theta``; for the others ``theta`` is
+None.
 """
 
 from __future__ import annotations
@@ -124,19 +125,21 @@ class PolicyKind:
         return self.kind
 
 
-class _RatioIterate:
-    """Greedy decision and projected ratio step shared by dolrm and oracle-rm.
+class OracleRmPolicy:
+    """The decision module alone: ratio iteration driven by the true means.
 
-    Holds theta inside [theta_min, theta_max] and the 1-based round index.
-    The subclass keeps a reward and a cost estimate per cell in
-    ``reward_ucb`` and ``cost_lcb``. ``select(s)`` plays ``greedy_arm`` over
-    type s's estimates at the current theta. ``update(s, a, ...)`` moves
-    theta one projected step toward the root of r_hat - theta * c_check with
-    cell (s, a)'s estimates; a cell whose score is not finite (an unpulled
-    dolrm cell at +inf, or -inf, or NaN) steps with r_max and c_min instead.
+    Holds theta inside [theta_min, theta_max], the 1-based round index and
+    each cell's reward and cost estimate in ``reward_ucb`` and ``cost_lcb``,
+    here the true means; sampled feedback is ignored. ``select(s)`` plays
+    ``greedy_arm`` over type s's estimates at the current theta.
+    ``update(s, a, ...)`` moves theta one projected step toward the root of
+    r_hat - theta * c_check with cell (s, a)'s estimates; a cell whose score
+    is not finite (an unpulled dolrm cell at +inf, or -inf, or NaN) steps
+    with r_max and c_min instead. dolrm extends it with learned estimates,
+    so oracle-rm isolates the learner's estimation error.
     """
 
-    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str):
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
         bounds = spec.bounds
         self.r_max = bounds.r_max
         self.c_min = bounds.c_min
@@ -148,6 +151,8 @@ class _RatioIterate:
         # Called for either mode so that an unknown mode fails here.
         eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
         self._fixed_eta = None if lr_mode == "decaying" else eta
+        self.reward_ucb = [[r for r, _ in arms_s] for arms_s in spec.arms]
+        self.cost_lcb = [[c for _, c in arms_s] for arms_s in spec.arms]
 
     def select(self, s: int) -> int:
         if s < 0:
@@ -179,8 +184,8 @@ class _RatioIterate:
         self.round = t + 1
 
 
-class DolRmPolicy(_RatioIterate):
-    """Double-optimistic ratio learner.
+class DolRmPolicy(OracleRmPolicy):
+    """Double-optimistic ratio learner: oracle-rm's decision module on learned bounds.
 
     Each round it scores every arm of the arriving type with an optimistic
     reward UCB min(r_max, mean + sqrt(log T / N)) minus theta times a
@@ -206,7 +211,7 @@ class DolRmPolicy(_RatioIterate):
 
     def update(self, s: int, a: int, reward: float, cost: float) -> None:
         # a direct base call: super() costs a few percent of a round
-        _RatioIterate.update(self, s, a, reward, cost)
+        OracleRmPolicy.update(self, s, a, reward, cost)
         stats = self.stats
         counts = stats.counts[s]
         mean_r = stats.mean_rewards[s]
@@ -355,21 +360,6 @@ class ThompsonSamplingPolicy:
                 best_score = score
                 best = a
         return best
-
-
-class OracleRmPolicy(_RatioIterate):
-    """Ratio iteration driven by the true means (no estimation).
-
-    Its ``reward_ucb`` and ``cost_lcb`` are the true means, bounds of zero
-    width; sampled feedback is ignored. It shares the decision rule, the
-    step and the learning-rate schedule of the learner it benchmarks,
-    isolating the estimation error.
-    """
-
-    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str = DEFAULT_LR_MODE):
-        super().__init__(spec, horizon, lr_mode)
-        self.reward_ucb = [[r for r, _ in arms_s] for arms_s in spec.arms]
-        self.cost_lcb = [[c for _, c in arms_s] for arms_s in spec.arms]
 
 
 def make_policy(

@@ -3,7 +3,8 @@ readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
 the oracle, the per-arm dolrm decision, per-call Thompson sampling, UCB1 on
 the ratio signal and the trace CSV line), a skewed ratio step that the theta
-criterion must reject, and a stub generator.
+criterion must reject, a dolrm with scaled confidence bonuses that the
+paired-gap criterion must reject when a bonus is cut, and a stub generator.
 
 Test modules import these with ``from support import ...``. They live in
 their own module, not in ``conftest.py``: ``perfbench/tests`` has a
@@ -239,6 +240,35 @@ class SkewedStepOracleRm(OracleRmPolicy):
         c_check = 0.9 * self.cost_lcb[s][a]
         self.theta = ratio_step(self.theta, eta, r_hat, c_check, self.theta_min, self.theta_max)
         self.round += 1
+
+
+class BonusAblatedDolRm(DolRmPolicy):
+    """Ablation control for the paired-gap criterion: dolrm with scaled bonuses.
+
+    The bonus sqrt(log T / N) is multiplied by ``kr`` on the reward UCB and
+    by ``kc`` on the cost LCB. Factors (1, 1) give dolrm itself; a factor of
+    0 drops the optimism on that side. The feedback goes through
+    ``ArmStatistics.record``, the readable fold.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, horizon: int, lr_mode: str, kr: float, kc: float):
+        super().__init__(spec, horizon, lr_mode)
+        self.kr = kr
+        self.kc = kc
+
+    def update(self, s: int, a: int, reward: float, cost: float) -> None:
+        OracleRmPolicy.update(self, s, a, reward, cost)
+        stats = self.stats
+        stats.record(s, a, reward, cost)
+        bonus = math.sqrt(self._log_horizon / stats.counts[s][a])
+        r_hat = stats.mean_rewards[s][a] + self.kr * bonus
+        if r_hat > self.r_max:
+            r_hat = self.r_max
+        c_check = stats.mean_costs[s][a] - self.kc * bonus
+        if c_check < self.c_min:
+            c_check = self.c_min
+        self.reward_ucb[s][a] = r_hat
+        self.cost_lcb[s][a] = c_check
 
 
 class PerCallThompsonSampling(ThompsonSamplingPolicy):

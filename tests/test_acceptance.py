@@ -6,9 +6,11 @@ The ``pytest_terminal_summary`` hook in conftest.py prints those lines in
 an "acceptance" section at the end of every run, so the verdicts are
 visible whether or not output is captured. The heavy 20-seed simulations
 are shared through module-scoped fixtures. A negative control checks that
-criterion 8's check fails on a skewed ratio step.
+criterion 8's check fails on a skewed ratio step, and controls check that
+criterion 9's fails on non-learners and on dolrm with a bonus cut.
 """
 
+import math
 import statistics
 import time
 from fractions import Fraction
@@ -26,10 +28,12 @@ from dolrm.policies import (
     OracleRmPolicy,
     PolicyKind,
     ThompsonSamplingPolicy,
+    make_policy,
 )
-from dolrm.runner import run_experiment, trace_run_id
+from dolrm.runner import fit_loglog_slope, run_experiment, trace_run_id
 
 from support import (
+    BonusAblatedDolRm,
     SkewedStepOracleRm,
     brute_force_theta_star,
     lcb_cost,
@@ -49,6 +53,19 @@ LEARNERS = ("dolrm", "ucb", "ts", "oracle-rm")
 # ACCEPTANCE 8's bound on the mean over seeds of |theta_T - theta*|. The
 # oracle-rm bound checks the ratio step alone, the dolrm bound the learner.
 THETA_BOUNDS = {"oracle-rm": 0.01, "dolrm": 0.1}
+# ACCEPTANCE 5's and 9's grid of horizons on p08.
+SLOPE_HORIZONS = (1_000, 4_000, 16_000, 64_000)
+# ACCEPTANCE 9's bound on the slope of the paired gap. dolrm's is -0.83; a
+# policy that settles on a wrong map, or learns too slowly, stays near 0.
+PAIRED_SLOPE_BOUND = -0.65
+# Non-learners ACCEPTANCE 9 must reject, run on its grid beside dolrm.
+CONTROLS = (PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("fixed", (0, 0)))
+# dolrm ablations ACCEPTANCE 9 must reject, by label: the factors (kr, kc) on
+# the bonus of the reward UCB and of the cost LCB.
+ABLATIONS = {"bonus-1-0": (1.0, 0.0), "bonus-0-1": (0.0, 1.0), "bonus-0-0": (0.0, 0.0)}
+# The ablations' shorter grid. Their slopes read -0.109 to +0.002 on it,
+# against -0.075 to +0.026 on SLOPE_HORIZONS, and dolrm's -0.83 on both.
+ABLATION_HORIZONS = SLOPE_HORIZONS[:3]
 
 
 @pytest.fixture
@@ -64,10 +81,11 @@ def criterion(request):
 
 
 def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,)):
+    """Run ``kinds``, PolicyKinds or kind names, on every horizon and seed."""
     cfg = tiny_config(
         tmp_path_factory.mktemp("acceptance"),
         environment=spec,
-        policies=tuple(PolicyKind(kind) for kind in kinds),
+        policies=tuple(k if isinstance(k, PolicyKind) else PolicyKind(k) for k in kinds),
         horizons=horizons,
         seeds=SEEDS,
     )
@@ -107,6 +125,32 @@ def theta_check(runs):
             passed &= mean <= bound
             details.append(f"{name} {policy} mean={mean:.4f} worst={worst:.4f} (seed {seed})")
     return passed, "; ".join(details)
+
+
+def paired_gaps(bundle, policy):
+    """ACCEPTANCE 9's per-horizon gaps of ``policy`` and their log-log slope.
+
+    A seed's paired gap is |final ratio of the optimal map - final ratio of
+    the policy|. Every kind on a seed sees the same arrivals and noise, so
+    the error of R_T / C_T that any settled policy shares cancels. Each gap
+    is the mean over seeds, paired through ``final_ratios``. The slope is
+    None unless every gap is finite and above 0.
+    """
+    finals = {(s.policy, s.horizon): s.final_ratios for s in bundle.summaries}
+    optimal = bundle.oracle.policy.name
+    horizons = sorted({s.horizon for s in bundle.summaries})
+    gaps = [
+        statistics.fmean(
+            abs(o - p) for o, p in zip(finals[optimal, T], finals[policy, T], strict=True)
+        )
+        for T in horizons
+    ]
+    slope = fit_loglog_slope(horizons, gaps) if all(0.0 < g < math.inf for g in gaps) else None
+    return gaps, slope
+
+
+def paired_gap_passes(slope):
+    return slope is not None and slope <= PAIRED_SLOPE_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +194,37 @@ def p06_summaries(p06_run):
 
 
 @pytest.fixture(scope="module")
-def p08_slope_run(tmp_path_factory, p08_spec):
+def p08_optimal_map(p08_spec):
+    return dinkelbach_theta_star(p08_spec).policy
+
+
+@pytest.fixture(scope="module")
+def p08_slope_run(tmp_path_factory, p08_spec, p08_optimal_map):
     start = time.perf_counter()
-    out = replicate(tmp_path_factory, p08_spec, ("dolrm",), (1_000, 4_000, 16_000, 64_000))
-    return out.gap_slopes["dolrm"], time.perf_counter() - start
+    kinds = ("dolrm", *CONTROLS, p08_optimal_map)
+    out = replicate(tmp_path_factory, p08_spec, kinds, SLOPE_HORIZONS)
+    return out, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def p08_ablation_run(tmp_path_factory, p08_spec, p08_optimal_map):
+    def make_ablation(kind, spec, horizon, lr_mode, rng):
+        if kind.label in ABLATIONS:
+            return BonusAblatedDolRm(spec, horizon, lr_mode, *ABLATIONS[kind.label])
+        return make_policy(kind, spec, horizon, lr_mode, rng)
+
+    kinds = (*(PolicyKind("dolrm", label=label) for label in ABLATIONS), p08_optimal_map)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dolrm.harness.make_policy", make_ablation)
+        return replicate(tmp_path_factory, p08_spec, kinds, ABLATION_HORIZONS)
+
+
+def paired_gap_controls(p08_slope_run, p08_ablation_run):
+    """(name, slope) of every control of ACCEPTANCE 9."""
+    bundle, _ = p08_slope_run
+    runs = [(bundle, kind.name) for kind in CONTROLS]
+    runs += [(p08_ablation_run, label) for label in ABLATIONS]
+    return [(name, paired_gaps(run, name)[1]) for run, name in runs]
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +293,8 @@ def test_acceptance_4_baseline_ordering(criterion, p08_summaries, p06_summaries)
 
 
 def test_acceptance_5_gap_decay_slope(criterion, p08_slope_run):
-    slope, elapsed = p08_slope_run
+    bundle, elapsed = p08_slope_run
+    slope = bundle.gap_slopes["dolrm"]
     passed = slope is not None and slope <= -0.15 and elapsed < 60.0
     criterion(5, "gap decay slope", passed,
             f"slope={slope:.4f} elapsed={elapsed:.1f}s")
@@ -329,3 +401,19 @@ def test_theta_check_rejects_a_skewed_ratio_step(tmp_path_factory, p08_spec, mon
     passed, detail = theta_check({"p08": run})
     assert not passed, detail
     assert "p08 oracle-rm" in detail
+
+
+def test_acceptance_9_paired_gap_decay(criterion, p08_slope_run, p08_ablation_run):
+    gaps, slope = paired_gaps(p08_slope_run[0], "dolrm")
+    controls = ", ".join(
+        f"{name}={'none' if s is None else f'{s:+.4f}'}"
+        for name, s in paired_gap_controls(p08_slope_run, p08_ablation_run)
+    )
+    criterion(9, "paired gap decay", paired_gap_passes(slope),
+            f"dolrm slope={slope:.4f} gap {gaps[0]:.4f} -> {gaps[-1]:.4f}; "
+            f"control slopes: {controls} (bonus-* on T <= {ABLATION_HORIZONS[-1]})")
+
+
+def test_paired_gap_check_rejects_every_control(p08_slope_run, p08_ablation_run):
+    for name, slope in paired_gap_controls(p08_slope_run, p08_ablation_run):
+        assert not paired_gap_passes(slope), (name, slope)

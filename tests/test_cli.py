@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dolrm
+import dolrm.cli
+import dolrm.oracle
 import dolrm.runner
 from dolrm.config import ExperimentConfig, parse_config
 from dolrm.env import EnvironmentSpec
@@ -503,6 +505,19 @@ class TestCommandLine:
         assert "optimal ratio: 2.6" in proc.stdout
         assert "type 0 -> arm 0" in proc.stdout
         assert "type 1 -> arm 1" in proc.stdout
+
+    def test_oracle_that_does_not_converge_exits_nonzero_with_diagnostic(self, tmp_path, monkeypatch, capsys):
+        # in process, so the smaller update budget reaches the solver; p08
+        # converges on its third update
+        monkeypatch.setattr(dolrm.oracle, "DINKELBACH_MAX_ITER", 2)
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"environment": "two-type-p08", "policies": [{"kind": "dolrm"}], "horizon": 10})
+        )
+        assert dolrm.cli.main(["oracle", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ratio iteration did not converge within 2 updates\n"
 
     def test_run_executes_and_reports(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dolrm.oracle
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.oracle import best_response, dinkelbach_theta_star, expected_ratio
 
@@ -76,6 +77,12 @@ class TestDinkelbach:
         for got, want in zip(iterates, (0.5, 2.5, 2.6, 2.6), strict=True):
             assert got == pytest.approx(want, abs=1e-12)
         assert iterates[-1] == result.theta_star
+
+    def test_raises_when_the_update_budget_runs_out(self, p08, monkeypatch):
+        # p08 converges on its third update
+        monkeypatch.setattr(dolrm.oracle, "DINKELBACH_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match=r"^ratio iteration did not converge within 2 updates$"):
+            dinkelbach_theta_star(p08)
 
     def test_flipped_distribution_prefers_greedy(self):
         result = dinkelbach_theta_star(two_type_env(p0=0.2))

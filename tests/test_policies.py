@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dolrm.harness
 from dolrm.env import EnvironmentSpec, derived_bounds
 from dolrm.estimator import ArmStatistics
-from dolrm.harness import POLICY_STREAM, stream_rng
+from dolrm.harness import BLOCK, POLICY_STREAM, run_episode, stream_rng
 from dolrm.oracle import best_response
 from dolrm.policies import (
     DEFAULT_LR_MODE,
@@ -27,6 +28,7 @@ from dolrm.policies import (
 )
 
 from support import (
+    BonusAblatedDolRm,
     PerArmDolRm,
     PerCallThompsonSampling,
     ReferenceUcb1,
@@ -399,6 +401,21 @@ class TestDolRmPolicy:
             [lcb_cost(shadow, s, b, horizon, bounds.c_min) for b in range(spec.num_arms(s))]
             for s in types
         ]
+
+
+    @pytest.mark.parametrize("lr_mode", LEARNING_RATE_MODES)
+    @pytest.mark.parametrize("spec", [two_type_env(), seven_type_env()], ids=["p08", "seven-type"])
+    def test_unablated_bonus_gives_dolrm_rows(self, monkeypatch, spec, lr_mode):
+        # the ablation control at factors (1, 1) is dolrm, over three blocks
+        horizon = 2 * BLOCK + 1
+        expected = run_episode(spec, PolicyKind("dolrm"), horizon, 5, lr_mode=lr_mode, stride=1)
+
+        def make_unablated(kind, spec, horizon, lr_mode, rng):
+            return BonusAblatedDolRm(spec, horizon, lr_mode, 1.0, 1.0)
+
+        monkeypatch.setattr(dolrm.harness, "make_policy", make_unablated)
+        trace = run_episode(spec, PolicyKind("dolrm"), horizon, 5, lr_mode=lr_mode, stride=1)
+        assert repr(trace.rows) == repr(expected.rows)
 
 
 class TestFixedMapPolicy:

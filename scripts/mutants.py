@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = "src/dolrm/env.py"
 POLICIES = "src/dolrm/policies.py"
 ESTIMATOR = "src/dolrm/estimator.py"
 HARNESS = "src/dolrm/harness.py"
@@ -90,7 +91,8 @@ MUTANTS = [
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.12g,',
         'TRACE_ROW_FIELDS = "%d,%d,%d,%.11g,',
     ),
-    # dolrm's cells must start at +inf / c_min, not at oracle-rm's true means
+    # dolrm's cells must start at +inf / c_min, not at oracle-rm's true means;
+    # left on the spec's shared tuples, its first update raises
     Mutant(
         "dolrm-keeps-true-means",
         POLICIES,
@@ -98,6 +100,7 @@ MUTANTS = [
         "        self.cost_lcb = [[self.c_min] * len(arms_s) for arms_s in spec.arms]\n",
         "",
     ),
+    Mutant("means-swaps-columns", ENV, "        return rewards, costs\n", "        return costs, rewards\n"),
     Mutant(
         "oracle-no-convergence-check",
         ORACLE,

@@ -6,11 +6,11 @@ and every arm has a non-negative mean reward and a strictly positive mean
 cost.
 Observations are the means corrupted by additive Gaussian noise.
 
-This module is the model alone: the spec, its validation and its derived
-bounds. A spec validates itself when it is built, so every spec in hand is
-valid. Its bounds, which depend on the spec alone, a spec derives once and
-keeps outside its fields. It draws nothing and imports no numpy; the
-seeded arrival and noise draws live in ``harness``.
+This module is the model alone: the spec, its validation and what it
+derives. A spec validates itself when it is built, so every spec in hand
+is valid. Its table of true means and its bounds depend on the spec alone;
+a spec derives each once and keeps it outside its fields. It draws nothing
+and imports no numpy; the seeded arrival and noise draws live in ``harness``.
 """
 
 from __future__ import annotations
@@ -60,8 +60,15 @@ class EnvironmentSpec:
     def num_arms(self, s: int) -> int:
         return len(self.arms[s])
 
-    # Cached in the instance __dict__, so it is not a field: equality, the
-    # hash and the config echo see the three fields alone.
+    # Both derivations are cached in the instance __dict__, so they are not
+    # fields: equality, the hash and the config echo see the three fields alone.
+    @cached_property
+    def means(self) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+        """Per type its arms' mean rewards, then per type their mean costs; read-only, as tuples."""
+        rewards = tuple(tuple(r for r, _ in arms_s) for arms_s in self.arms)
+        costs = tuple(tuple(c for _, c in arms_s) for arms_s in self.arms)
+        return rewards, costs
+
     @cached_property
     def bounds(self) -> DerivedBounds:
         """``derived_bounds(self)``, computed once per spec."""
@@ -121,8 +128,7 @@ def validate_env(spec: EnvironmentSpec) -> EnvironmentSpec:
     # interval; past float range theta turns NaN or the oracle never settles
     b = spec.bounds
     if not math.isfinite(max(b.r_max, 1.0) / b.c_min):
-        cells = ((s, a, c) for s, arms_s in enumerate(spec.arms) for a, (_, c) in enumerate(arms_s))
-        s, a = next((s, a) for s, a, c in cells if c == b.c_min)
+        s, a = next((s, costs.index(b.c_min)) for s, costs in enumerate(spec.means[1]) if b.c_min in costs)
         raise ValueError(
             f"arms[{s}][{a}]: mean_cost {b.c_min!r} is too small (1 / c_min and r_max / c_min must be finite)"
         )
@@ -133,8 +139,7 @@ def validate_env(spec: EnvironmentSpec) -> EnvironmentSpec:
 
 def derived_bounds(spec: EnvironmentSpec) -> DerivedBounds:
     """Min/max of the mean rewards and costs over all (type, arm) cells."""
-    rewards = [r for arms_s in spec.arms for (r, _) in arms_s]
-    costs = [c for arms_s in spec.arms for (_, c) in arms_s]
-    r_min, r_max = min(rewards), max(rewards)
-    c_min, c_max = min(costs), max(costs)
+    rewards, costs = spec.means
+    r_min, r_max = min(map(min, rewards)), max(map(max, rewards))
+    c_min, c_max = min(map(min, costs)), max(map(max, costs))
     return DerivedBounds(r_min, r_max, c_min, c_max, r_min / c_max, r_max / c_min)

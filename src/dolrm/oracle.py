@@ -43,12 +43,7 @@ def expected_ratio(spec: EnvironmentSpec, actions: tuple[int, ...]) -> float:
 
 def best_response(spec: EnvironmentSpec, theta: float) -> tuple[int, ...]:
     """Per-type argmax of r - theta*c over true means (lowest index on ties)."""
-    actions = []
-    for arms_s in spec.arms:
-        rewards = [r for r, _ in arms_s]
-        costs = [c for _, c in arms_s]
-        actions.append(greedy_arm(rewards, costs, theta))
-    return tuple(actions)
+    return tuple(greedy_arm(rewards, costs, theta) for rewards, costs in zip(*spec.means))
 
 
 def dinkelbach_theta_star(spec: EnvironmentSpec) -> OracleResult:

@@ -130,8 +130,8 @@ class OracleRmPolicy:
 
     Holds theta inside [theta_min, theta_max], the 1-based round index and
     each cell's reward and cost estimate in ``reward_ucb`` and ``cost_lcb``,
-    here the true means; sampled feedback is ignored. ``select(s)`` plays
-    ``greedy_arm`` over type s's estimates at the current theta.
+    here the spec's shared ``means``; sampled feedback is ignored. ``select(s)``
+    plays ``greedy_arm`` over type s's estimates at the current theta.
     ``update(s, a, ...)`` moves theta one projected step toward the root of
     r_hat - theta * c_check with cell (s, a)'s estimates; a cell whose score
     is not finite (an unpulled dolrm cell at +inf, or -inf, or NaN) steps
@@ -151,8 +151,7 @@ class OracleRmPolicy:
         # Called for either mode so that an unknown mode fails here.
         eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
         self._fixed_eta = None if lr_mode == "decaying" else eta
-        self.reward_ucb = [[r for r, _ in arms_s] for arms_s in spec.arms]
-        self.cost_lcb = [[c for _, c in arms_s] for arms_s in spec.arms]
+        self.reward_ucb, self.cost_lcb = spec.means
 
     def select(self, s: int) -> int:
         if s < 0:

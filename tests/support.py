@@ -1,8 +1,9 @@
 """Shared test helpers: the reference environments, the scalar samplers, the
 readable references that the fast paths in ``dolrm`` are pinned against
 (confidence bounds, the projected ratio step, brute-force enumeration of
-the oracle, the per-arm dolrm decision, per-call Thompson sampling, UCB1 on
-the ratio signal and the trace CSV line), a skewed ratio step that the theta
+the oracle, the per-cell gap of the pseudo-regret, the per-arm dolrm
+decision, per-call Thompson sampling, UCB1 on the ratio signal and the
+trace CSV line), a skewed ratio step that the theta
 criterion must reject, a dolrm with scaled confidence bonuses that the
 paired-gap criterion must reject when a bonus is cut, and a stub generator.
 
@@ -179,6 +180,21 @@ def brute_force_theta_star(spec: EnvironmentSpec) -> OracleResult:
             best_ratio = ratio
             best_actions = actions
     return OracleResult(best_ratio, PolicyKind("fixed", best_actions), n_maps)
+
+
+def cell_gaps(spec: EnvironmentSpec, theta: float) -> list[list[float]]:
+    """Per type and arm, Delta = max_b (r_b - theta * c_b) - (r_a - theta * c_a).
+
+    Read from the (reward, cost) pairs of ``spec.arms``, not from
+    ``spec.means``, so that it does not lean on the table under test. At
+    theta* an episode's pseudo-regret is the sum of N_{s,a} * Delta_{s,a}.
+    """
+    gaps = []
+    for arms_s in spec.arms:
+        scores = [r - theta * c for r, c in arms_s]
+        best = max(scores)
+        gaps.append([best - score for score in scores])
+    return gaps
 
 
 class PerArmDolRm(DolRmPolicy):

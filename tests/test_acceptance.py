@@ -7,9 +7,11 @@ an "acceptance" section at the end of every run, so the verdicts are
 visible whether or not output is captured. The heavy 20-seed simulations
 are shared through module-scoped fixtures. A negative control checks that
 criterion 8's check fails on a skewed ratio step, and controls check that
-criterion 9's fails on non-learners and on dolrm with a bonus cut.
+criterion 9's fails on non-learners and on dolrm with a bonus cut, and
+that criterion 10's fails on ucb, ts and the same ablations.
 """
 
+import itertools
 import math
 import statistics
 import time
@@ -36,6 +38,7 @@ from support import (
     BonusAblatedDolRm,
     SkewedStepOracleRm,
     brute_force_theta_star,
+    cell_gaps,
     lcb_cost,
     sample_task,
     seven_type_env,
@@ -66,6 +69,10 @@ ABLATIONS = {"bonus-1-0": (1.0, 0.0), "bonus-0-1": (0.0, 1.0), "bonus-0-0": (0.0
 # The ablations' shorter grid. Their slopes read -0.109 to +0.002 on it,
 # against -0.075 to +0.026 on SLOPE_HORIZONS, and dolrm's -0.83 on both.
 ABLATION_HORIZONS = SLOPE_HORIZONS[:3]
+# ACCEPTANCE 10's bound on the log-log slope of the mean pseudo-regret.
+# dolrm's is +0.15; ucb, ts and the ablations above grow near linearly,
+# +0.91 to +1.02.
+PSEUDO_REGRET_SLOPE_BOUND = 0.5
 
 
 @pytest.fixture
@@ -80,7 +87,7 @@ def criterion(request):
     return check
 
 
-def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,)):
+def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,), **overrides):
     """Run ``kinds``, PolicyKinds or kind names, on every horizon and seed."""
     cfg = tiny_config(
         tmp_path_factory.mktemp("acceptance"),
@@ -88,8 +95,26 @@ def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,)):
         policies=tuple(k if isinstance(k, PolicyKind) else PolicyKind(k) for k in kinds),
         horizons=horizons,
         seeds=SEEDS,
+        **overrides,
     )
     return run_experiment(cfg)
+
+
+def capturing(make, kinds, horizons, policies):
+    """``make`` wrapped to keep each episode's policy in ``policies``.
+
+    The runner builds one policy per episode, by kind, then horizon, then
+    seed; the wrapper keys each by (name, horizon, seed) in that order.
+    """
+    keys = itertools.product((kind.name for kind in kinds), horizons, SEEDS)
+
+    def make_and_keep(kind, spec, horizon, lr_mode, rng):
+        key = next(keys)
+        assert key[:2] == (kind.name, horizon), key
+        policies[key] = policy = make(kind, spec, horizon, lr_mode, rng)
+        return policy
+
+    return make_and_keep
 
 
 def by_policy(bundle):
@@ -153,6 +178,32 @@ def paired_gap_passes(slope):
     return slope is not None and slope <= PAIRED_SLOPE_BOUND
 
 
+def pseudo_regret(policy, gaps):
+    """Sum of N_{s,a} * Delta_{s,a} over the cells, N from the policy's final counts."""
+    return math.fsum(
+        n * d
+        for counts_s, gaps_s in zip(policy.stats.counts, gaps, strict=True)
+        for n, d in zip(counts_s, gaps_s, strict=True)
+    )
+
+
+def pseudo_regrets(policies, name, horizons, gaps):
+    """ACCEPTANCE 10's mean pseudo-regret over SEEDS per horizon, and its log-log slope.
+
+    The slope is None unless every mean is above 0, as a log-log fit needs.
+    """
+    means = [
+        statistics.fmean(pseudo_regret(policies[name, T, seed], gaps) for seed in SEEDS)
+        for T in horizons
+    ]
+    slope = fit_loglog_slope(horizons, means) if all(m > 0.0 for m in means) else None
+    return means, slope
+
+
+def pseudo_regret_passes(slope):
+    return slope is not None and slope <= PSEUDO_REGRET_SLOPE_BOUND
+
+
 @pytest.fixture(scope="module")
 def p08_spec():
     return two_type_env(p0=0.8)
@@ -199,32 +250,53 @@ def p08_optimal_map(p08_spec):
 
 
 @pytest.fixture(scope="module")
+def p08_gaps(p08_spec, p08_star):
+    return cell_gaps(p08_spec, p08_star)
+
+
+@pytest.fixture(scope="module")
 def p08_slope_run(tmp_path_factory, p08_spec, p08_optimal_map):
+    """The bundle, its wall time and each episode's policy by (name, horizon, seed)."""
     start = time.perf_counter()
-    kinds = ("dolrm", *CONTROLS, p08_optimal_map)
-    out = replicate(tmp_path_factory, p08_spec, kinds, SLOPE_HORIZONS)
-    return out, time.perf_counter() - start
+    kinds = (PolicyKind("dolrm"), *CONTROLS, p08_optimal_map)
+    policies = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dolrm.harness.make_policy", capturing(make_policy, kinds, SLOPE_HORIZONS, policies))
+        out = replicate(tmp_path_factory, p08_spec, kinds, SLOPE_HORIZONS)
+    return out, time.perf_counter() - start, policies
 
 
 @pytest.fixture(scope="module")
 def p08_ablation_run(tmp_path_factory, p08_spec, p08_optimal_map):
+    """The bundle and each episode's policy by (name, horizon, seed)."""
     def make_ablation(kind, spec, horizon, lr_mode, rng):
         if kind.label in ABLATIONS:
             return BonusAblatedDolRm(spec, horizon, lr_mode, *ABLATIONS[kind.label])
         return make_policy(kind, spec, horizon, lr_mode, rng)
 
     kinds = (*(PolicyKind("dolrm", label=label) for label in ABLATIONS), p08_optimal_map)
+    policies = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("dolrm.harness.make_policy", make_ablation)
-        return replicate(tmp_path_factory, p08_spec, kinds, ABLATION_HORIZONS)
+        patch.setattr("dolrm.harness.make_policy", capturing(make_ablation, kinds, ABLATION_HORIZONS, policies))
+        return replicate(tmp_path_factory, p08_spec, kinds, ABLATION_HORIZONS), policies
 
 
 def paired_gap_controls(p08_slope_run, p08_ablation_run):
     """(name, slope) of every control of ACCEPTANCE 9."""
-    bundle, _ = p08_slope_run
-    runs = [(bundle, kind.name) for kind in CONTROLS]
-    runs += [(p08_ablation_run, label) for label in ABLATIONS]
+    runs = [(p08_slope_run[0], kind.name) for kind in CONTROLS]
+    runs += [(p08_ablation_run[0], label) for label in ABLATIONS]
     return [(name, paired_gaps(run, name)[1]) for run, name in runs]
+
+
+def pseudo_regret_controls(p08_slope_run, p08_ablation_run, gaps):
+    """(name, slope) of every control of ACCEPTANCE 10.
+
+    The fixed maps keep no counts: the optimal map's pseudo-regret is 0 by
+    construction and fixed-0-0's is 0.6 per type-1 arrival.
+    """
+    runs = [(p08_slope_run[2], name, SLOPE_HORIZONS) for name in ("ucb", "ts")]
+    runs += [(p08_ablation_run[1], label, ABLATION_HORIZONS) for label in ABLATIONS]
+    return [(name, pseudo_regrets(policies, name, horizons, gaps)[1]) for policies, name, horizons in runs]
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +365,7 @@ def test_acceptance_4_baseline_ordering(criterion, p08_summaries, p06_summaries)
 
 
 def test_acceptance_5_gap_decay_slope(criterion, p08_slope_run):
-    bundle, elapsed = p08_slope_run
+    bundle, elapsed, _ = p08_slope_run
     slope = bundle.gap_slopes["dolrm"]
     passed = slope is not None and slope <= -0.15 and elapsed < 60.0
     criterion(5, "gap decay slope", passed,
@@ -417,3 +489,34 @@ def test_acceptance_9_paired_gap_decay(criterion, p08_slope_run, p08_ablation_ru
 def test_paired_gap_check_rejects_every_control(p08_slope_run, p08_ablation_run):
     for name, slope in paired_gap_controls(p08_slope_run, p08_ablation_run):
         assert not paired_gap_passes(slope), (name, slope)
+
+
+def test_acceptance_10_pseudo_regret_slope(criterion, p08_slope_run, p08_ablation_run, p08_gaps):
+    regrets, slope = pseudo_regrets(p08_slope_run[2], "dolrm", SLOPE_HORIZONS, p08_gaps)
+    controls = ", ".join(
+        f"{name}={'none' if s is None else f'{s:+.4f}'}"
+        for name, s in pseudo_regret_controls(p08_slope_run, p08_ablation_run, p08_gaps)
+    )
+    criterion(10, "pseudo-regret slope", pseudo_regret_passes(slope),
+            f"dolrm slope={slope:+.4f} regret {regrets[0]:.1f} -> {regrets[-1]:.1f}; "
+            f"control slopes: {controls} (bonus-* on T <= {ABLATION_HORIZONS[-1]})")
+
+
+def test_pseudo_regret_check_rejects_every_control(p08_slope_run, p08_ablation_run, p08_gaps):
+    for name, slope in pseudo_regret_controls(p08_slope_run, p08_ablation_run, p08_gaps):
+        assert not pseudo_regret_passes(slope), (name, slope)
+
+
+def test_pseudo_regret_capture_matches_the_trace_rows(tmp_path_factory, p08_spec, p08_gaps, monkeypatch):
+    # stride 1 logs every round, so the Delta of each row's cell sums to the
+    # pseudo-regret; most seeds' sums differ, so keys on the wrong episodes fail
+    kinds = (PolicyKind("dolrm"),)
+    policies = {}
+    monkeypatch.setattr("dolrm.harness.make_policy", capturing(make_policy, kinds, (500,), policies))
+    bundle = replicate(tmp_path_factory, p08_spec, kinds, (500,), log_stride=1)
+    for seed in SEEDS:
+        path = bundle.output_dir / "traces" / f"trace-{trace_run_id('dolrm', 500, seed)}.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 500
+        total = math.fsum(p08_gaps[int(row[3])][int(row[4])] for row in rows)
+        assert total == pytest.approx(pseudo_regret(policies["dolrm", 500, seed], p08_gaps))

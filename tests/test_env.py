@@ -148,9 +148,12 @@ def test_bounds_are_finite_numbers(p08):
 def test_cached_derivations_leave_equality_and_hash_alone(p08):
     other = two_type_env()
     assert p08.bounds == derived_bounds(p08)
-    # one spec with its bounds cached, one without
-    assert "bounds" in vars(p08) and "bounds" in vars(other)
-    del vars(other)["bounds"]
+    # tuples all the way down: no reader can write to the shared table
+    assert p08.means == (((3.0,), (3.0, 1.0)), ((1.0,), (2.0, 1.0)))
+    # one spec with its derivations cached, one without
+    for name in ("means", "bounds"):
+        assert name in vars(p08) and name in vars(other)
+        del vars(other)[name]
     assert p08 == other and hash(p08) == hash(other)
     assert [f.name for f in dataclasses.fields(p08)] == ["arrival_probs", "arms", "noise_sigma"]
 
@@ -162,7 +165,7 @@ def test_model_modules_import_without_numpy():
         "import sys\n"
         "import dolrm.env, dolrm.policies, dolrm.oracle, dolrm.config\n"
         "spec = dolrm.env.EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((2.0, 1.0),)))\n"
-        "spec.bounds\n"
+        "spec.means, spec.bounds\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
     )
     proc = subprocess.run(

@@ -10,7 +10,7 @@ import dolrm.oracle
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
 from dolrm.oracle import best_response, dinkelbach_theta_star, expected_ratio
 
-from support import brute_force_theta_star, seven_type_env, two_type_env
+from support import brute_force_theta_star, cell_gaps, seven_type_env, two_type_env
 
 GREEDY = (0, 0)
 REVERSE = (0, 1)
@@ -183,3 +183,24 @@ class TestRandomSpecAgreement:
             lifted = dinkelbach_theta_star(scaled)
             assert lifted.theta_star == pytest.approx(kappa * base.theta_star, rel=1e-9)
             assert lifted.policy.actions == base.policy.actions
+
+
+class TestCellGaps:
+    def test_two_type_gaps(self, p08):
+        # at theta* = 2.6 type 1's arm 0 scores 3 - 5.2, arm 1 scores 1 - 2.6
+        theta_star = dinkelbach_theta_star(p08).theta_star
+        assert cell_gaps(p08, theta_star) == [[0.0], [pytest.approx(0.6, abs=1e-12), 0.0]]
+
+    def test_gaps_vanish_on_best_responses_on_200_specs(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            spec = random_spec(rng)
+            result = dinkelbach_theta_star(spec)
+            for theta in (result.theta_star, float(rng.uniform(0.0, 10.0))):
+                gaps = cell_gaps(spec, theta)
+                assert all(d >= 0.0 for gaps_s in gaps for d in gaps_s)
+                assert all(min(gaps_s) == 0.0 for gaps_s in gaps)
+                actions = best_response(spec, theta)
+                assert [gaps_s[a] for gaps_s, a in zip(gaps, actions)] == [0.0] * spec.num_types
+            gaps = cell_gaps(spec, result.theta_star)
+            assert [gaps_s[a] for gaps_s, a in zip(gaps, result.policy.actions)] == [0.0] * spec.num_types

@@ -298,6 +298,16 @@ class TestDolRmPolicy:
         with pytest.raises(IndexError):
             DolRmPolicy(p08, horizon=100).select(-1)
 
+    def test_update_writes_its_own_cells_alone(self, p08):
+        # horizon 2: the bonus sqrt(log 2) leaves both bounds inside [c_min, r_max]
+        first = DolRmPolicy(p08, horizon=2)
+        second = DolRmPolicy(p08, horizon=2)
+        first.update(1, 1, 2.0, 2.5)
+        assert first.reward_ucb[1][1] < 3.0 and first.cost_lcb[1][1] > 1.0
+        assert second.reward_ucb == [[math.inf], [math.inf, math.inf]]
+        assert second.cost_lcb == [[1.0], [1.0, 1.0]]
+        assert p08.means == (((3.0,), (3.0, 1.0)), ((1.0,), (2.0, 1.0)))
+
     def test_update_uses_pre_record_estimates(self, p08):
         policy = explored_dolrm(p08, 100, [(1, 0.0, 2.0), (1, 2.0, 1.0)], theta=2.0)
         assert policy.stats.counts == [[0], [1, 1]]
@@ -617,6 +627,11 @@ class TestThompsonSampling:
 
 
 class TestOracleRm:
+    def test_estimates_are_the_specs_shared_table(self, p08):
+        policy = OracleRmPolicy(p08, horizon=100)
+        assert policy.reward_ucb is p08.means[0]
+        assert policy.cost_lcb is p08.means[1]
+
     def test_select_uses_true_means(self, p08):
         policy = OracleRmPolicy(p08, horizon=100)
         policy.theta = 2.6

@@ -91,6 +91,8 @@ class ExperimentConfig:
     log_stride: Optional[int]
 
     def __post_init__(self) -> None:
+        _as_str(self.environment_name, "environment_name")
+        _as_str(self.output_dir, "output_dir")
         for key, values in (("policies", self.policies), ("horizons", self.horizons), ("seeds", self.seeds)):
             if not values:
                 _fail(key, f"no {key} to run (expected a non-empty list)")
@@ -190,7 +192,7 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
             )
         name, env = env, PRESETS[env]["environment"]
     elif isinstance(env, dict):
-        name = _as_str(raw.get("environment_name", "inline"), "environment_name")
+        name = raw.get("environment_name", "inline")
     else:
         _fail("environment", f"expected a preset name or object, got {type(env).__name__}")
 
@@ -298,7 +300,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         horizons=_parse_horizons(raw),
         seeds=_parse_seeds(raw),
         lr_mode=_as_str(raw.get("learning_rate", DEFAULT_LR_MODE), "learning_rate"),
-        output_dir=_as_str(raw.get("output_dir", DEFAULT_OUTPUT_DIR), "output_dir"),
+        output_dir=raw.get("output_dir", DEFAULT_OUTPUT_DIR),
         log_stride=raw.get("log_stride"),
     )
 

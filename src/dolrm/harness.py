@@ -94,7 +94,7 @@ def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray
 
 
 def default_stride(horizon: int) -> int:
-    """Default logging stride: about 1000 rows per episode."""
+    """Default logging stride: every round below horizon 2000, else 1000 to 1500 rows."""
     return max(1, horizon // 1000)
 
 

@@ -55,23 +55,6 @@ def validate_policy_map(spec: EnvironmentSpec, actions: tuple[int, ...]) -> None
             )
 
 
-def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
-    """Step size at round t (1-based) for the ratio iteration.
-
-    "decaying" uses eta_t = 1 / (c_min * (t + 1)); "fixed-sqrtT" uses the
-    horizon-tuned constant 1 / (c_min * sqrt(T)) at every round.
-    """
-    if mode not in LEARNING_RATE_MODES:
-        raise ValueError(
-            f"unknown learning-rate mode {mode!r}; expected one of {LEARNING_RATE_MODES}"
-        )
-    if t < 1:
-        raise ValueError(f"round index must be >= 1 (got {t})")
-    if mode == "decaying":
-        return 1.0 / (c_min * (t + 1))
-    return 1.0 / (c_min * math.sqrt(horizon))
-
-
 def greedy_arm(rewards: Sequence[float], costs: Sequence[float], theta: float) -> int:
     """Index maximizing rewards[a] - theta * costs[a]; ties go to the lowest index.
 
@@ -148,9 +131,12 @@ class OracleRmPolicy:
         self.theta = bounds.theta_min
         self.round = 1
         self._single_arm = [len(arms_s) == 1 for arms_s in spec.arms]
-        # Called for either mode so that an unknown mode fails here.
-        eta = learning_rate(lr_mode, bounds.c_min, horizon, 1)
-        self._fixed_eta = None if lr_mode == "decaying" else eta
+        if lr_mode not in LEARNING_RATE_MODES:
+            raise ValueError(
+                f"unknown learning-rate mode {lr_mode!r}; expected one of {LEARNING_RATE_MODES}"
+            )
+        # "fixed-sqrtT" steps with this constant; "decaying" with 1 / (c_min * (t + 1)) in update
+        self._fixed_eta = None if lr_mode == "decaying" else 1.0 / (bounds.c_min * math.sqrt(horizon))
         self.reward_ucb, self.cost_lcb = spec.means
 
     def select(self, s: int) -> int:

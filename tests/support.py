@@ -1,9 +1,9 @@
 """Shared test helpers: the reference environments, the scalar samplers, the
 readable references that the fast paths in ``dolrm`` are pinned against
-(confidence bounds, the projected ratio step, brute-force enumeration of
-the oracle, the per-cell gap of the pseudo-regret, the per-arm dolrm
-decision, per-call Thompson sampling, UCB1 on the ratio signal and the
-trace CSV line), a skewed ratio step that the theta
+(confidence bounds, the step size, the projected ratio step, brute-force
+enumeration of the oracle, the per-cell gap of the pseudo-regret, the
+per-arm dolrm decision, per-call Thompson sampling, UCB1 on the ratio
+signal and the trace CSV line), a skewed ratio step that the theta
 criterion must reject, a dolrm with scaled confidence bonuses that the
 paired-gap criterion must reject when a bonus is cut, and a stub generator.
 
@@ -25,11 +25,11 @@ from dolrm.harness import EpisodeTrace
 from dolrm.oracle import OracleResult
 from dolrm.policies import (
     DEFAULT_LR_MODE,
+    LEARNING_RATE_MODES,
     DolRmPolicy,
     OracleRmPolicy,
     PolicyKind,
     ThompsonSamplingPolicy,
-    learning_rate,
 )
 
 TWO_TYPE_ARMS = (((3.0, 1.0),), ((3.0, 2.0), (1.0, 1.0)))
@@ -126,6 +126,23 @@ def lcb_cost(stats: ArmStatistics, s: int, a: int, horizon: int, c_min: float) -
     if n == 0:
         return c_min
     return max(c_min, stats.mean_costs[s][a] - math.sqrt(math.log(horizon) / n))
+
+
+def learning_rate(mode: str, c_min: float, horizon: int, t: int) -> float:
+    """Step size at round t (1-based) for the ratio iteration.
+
+    "decaying" uses eta_t = 1 / (c_min * (t + 1)); "fixed-sqrtT" uses the
+    horizon-tuned constant 1 / (c_min * sqrt(T)) at every round.
+    """
+    if mode not in LEARNING_RATE_MODES:
+        raise ValueError(
+            f"unknown learning-rate mode {mode!r}; expected one of {LEARNING_RATE_MODES}"
+        )
+    if t < 1:
+        raise ValueError(f"round index must be >= 1 (got {t})")
+    if mode == "decaying":
+        return 1.0 / (c_min * (t + 1))
+    return 1.0 / (c_min * math.sqrt(horizon))
 
 
 def ratio_step(

@@ -318,13 +318,14 @@ BROKEN_RULES = [
     ({"horizons": (50.0,)}, "horizons[0]: expected an integer, got float"),
     ({"horizons": (True,)}, "horizons[0]: expected an integer, got bool"),
     ({"seeds": (0, 1.5)}, "seeds[1]: expected an integer, got float"),
+    ({"environment_name": None}, "environment_name: expected a string, got NoneType"),
+    ({"output_dir": 5}, "output_dir: expected a string, got int"),
 ]
 
 
-@pytest.mark.parametrize("overrides, message", BROKEN_RULES, ids=[m for _, m in BROKEN_RULES])
-def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, message):
-    out = tmp_path / "out"
-    fields = {
+def config_fields(out, **overrides):
+    """ExperimentConfig's fields for a valid two-type run into ``out``, overridden."""
+    return {
         "environment": two_type_env(sigma=0.0),
         "environment_name": "two-type-p08",
         "policies": (PolicyKind("dolrm"),),
@@ -335,6 +336,12 @@ def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, mes
         "log_stride": None,
         **overrides,
     }
+
+
+@pytest.mark.parametrize("overrides, message", BROKEN_RULES, ids=[m for _, m in BROKEN_RULES])
+def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, message):
+    out = tmp_path / "out"
+    fields = config_fields(out, **overrides)
     with pytest.raises(ConfigError, match=re.escape(message)) as built:
         ExperimentConfig(**fields)
     # the same values as a config file: config_echo reads only the fields
@@ -342,6 +349,15 @@ def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, mes
     with pytest.raises(ConfigError) as parsed:
         parse_config(path)
     assert str(parsed.value) == str(built.value)
+    assert not out.exists()
+
+
+def test_output_dir_given_as_a_path_fails_before_anything_is_written(tmp_path):
+    # unchecked, a Path would run every episode and then fail to echo as JSON
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**config_fields(out, output_dir=out))
+    assert str(err.value) == f"output_dir: expected a string, got {type(out).__name__}"
     assert not out.exists()
 
 

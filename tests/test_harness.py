@@ -376,7 +376,7 @@ class TestRunEpisode:
 
     def test_episode_memory_does_not_grow_per_round(self, p08):
         # Each block's arrivals and noise are dropped before the next is
-        # drawn, and the default stride logs about 1000 rows at any horizon,
+        # drawn, and the default stride logs at most 1999 rows at any horizon,
         # so nothing may grow with it; a whole-horizon int64 array alone
         # would add 8 B per round.
         run_episode(p08, REVERSE, 1_000, 0)

@@ -22,7 +22,6 @@ from dolrm.policies import (
     PolicyKind,
     ThompsonSamplingPolicy,
     greedy_arm,
-    learning_rate,
     make_policy,
     validate_policy_map,
 )
@@ -34,6 +33,7 @@ from support import (
     ReferenceUcb1,
     StubRng,
     lcb_cost,
+    learning_rate,
     ratio_step,
     sample_feedback,
     seven_type_env,

@@ -213,6 +213,24 @@ MUTANTS = [
         '        _as_str(self.environment_name, "environment_name")\n        _as_str(self.output_dir, "output_dir")\n',
         "",
     ),
+    Mutant(
+        "config-environment-untyped",
+        CONFIG,
+        "        if not isinstance(self.environment, EnvironmentSpec):\n"
+        '            _fail("environment", f"expected an EnvironmentSpec, got {type(self.environment).__name__}")\n'
+        "        for i, kind in enumerate(self.policies):\n"
+        "            if not isinstance(kind, PolicyKind):\n"
+        '                _fail(f"policies[{i}]", f"expected a PolicyKind, got {type(kind).__name__}")\n',
+        "        for i, kind in enumerate(self.policies):\n",
+    ),
+    Mutant(
+        "config-sequences-kept",
+        CONFIG,
+        "            object.__setattr__(self, key, tuple(values))  # a tuple hashes and equals its echo\n",
+        "",
+    ),
+    # ts draws from the policy stream of its own episode's seed
+    Mutant("ts-stream-ignores-seed", HARNESS, "stream_rng(seed, POLICY_STREAM)", "stream_rng(0, POLICY_STREAM)"),
     # the step size: each mode's formula and the mode check live in OracleRmPolicy
     Mutant("fixed-eta-formula", POLICIES, "math.sqrt(horizon))", "math.sqrt(horizon + 1))"),
     Mutant(

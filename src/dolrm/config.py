@@ -94,21 +94,28 @@ class ExperimentConfig:
         _as_str(self.environment_name, "environment_name")
         _as_str(self.output_dir, "output_dir")
         for key, values in (("policies", self.policies), ("horizons", self.horizons), ("seeds", self.seeds)):
+            if not isinstance(values, (list, tuple)):
+                _fail(key, f"expected a list or tuple, got {type(values).__name__}")
             if not values:
                 _fail(key, f"no {key} to run (expected a non-empty list)")
+            object.__setattr__(self, key, tuple(values))  # a tuple hashes and equals its echo
         for key, values in (("horizons", self.horizons), ("seeds", self.seeds)):
             for i, value in enumerate(values):
                 as_int(value, f"{key}[{i}]", ConfigError)
-        names = [kind.name for kind in self.policies]
-        for name in names:
-            if names.count(name) > 1:
-                _fail("policies", f"duplicate policy name {name!r}; set distinct labels")
-        for kind in self.policies:
+        if not isinstance(self.environment, EnvironmentSpec):
+            _fail("environment", f"expected an EnvironmentSpec, got {type(self.environment).__name__}")
+        for i, kind in enumerate(self.policies):
+            if not isinstance(kind, PolicyKind):
+                _fail(f"policies[{i}]", f"expected a PolicyKind, got {type(kind).__name__}")
             if kind.kind == "fixed":
                 try:
                     validate_policy_map(self.environment, kind.actions)
                 except ValueError as err:
                     raise ConfigError(f"policies: fixed policy {kind.name!r}: {err}") from None
+        names = [kind.name for kind in self.policies]
+        for name in names:
+            if names.count(name) > 1:
+                _fail("policies", f"duplicate policy name {name!r}; set distinct labels")
         _at_least(self.horizons[0], 1, "horizons[0]")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             _fail("horizons", "must be strictly increasing")

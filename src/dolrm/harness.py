@@ -1,8 +1,9 @@
-"""One seeded episode: its three random streams, the decision loop and its trace.
+"""One seeded episode: its three random streams, its policy, the decision loop and its trace.
 
 Each episode draws from three streams labeled by (seed, stream): task
 arrivals (``sample_tasks``), feedback noise (``feedback_noise``) and the
-policy's own draws. All three are derived here, so a config and a seed fix
+policy's own draws, which ``make_policy`` hands to ts alone when it builds
+the episode's policy. All three are derived here, so a config and a seed fix
 an episode; the seed sequence of each (seed, stream) label is memoized, and
 each episode still gets fresh generators built from it. An episode runs
 ``BLOCK`` rounds at a time, each block with its own arrival and noise
@@ -19,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .env import EnvironmentSpec
-from .policies import DEFAULT_LR_MODE, PolicyKind, make_policy
+from .policies import (DEFAULT_LR_MODE, ClassicUcbPolicy, DolRmPolicy, FixedMapPolicy,
+                       OracleRmPolicy, PolicyKind, ThompsonSamplingPolicy)
 
 # Stream labels for the per-episode RNG split. Keeping arrival, feedback and
 # policy randomness on separate streams means two policies compared under the
@@ -93,6 +95,22 @@ def feedback_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray
         return rng.standard_normal(2 * n) * sigma
 
 
+def make_policy(kind: PolicyKind, spec: EnvironmentSpec, horizon: int, lr_mode: str, seed: int):
+    """Instantiate the policy described by ``kind`` for one episode of ``seed``.
+
+    Only ``ts`` draws randomness, from the episode's policy stream.
+    """
+    if kind.kind == "dolrm":
+        return DolRmPolicy(spec, horizon, lr_mode)
+    if kind.kind == "fixed":
+        return FixedMapPolicy(spec, kind.actions)
+    if kind.kind == "ucb":
+        return ClassicUcbPolicy(spec)
+    if kind.kind == "ts":
+        return ThompsonSamplingPolicy(spec, stream_rng(seed, POLICY_STREAM))
+    return OracleRmPolicy(spec, horizon, lr_mode)
+
+
 def default_stride(horizon: int) -> int:
     """Default logging stride: every round below horizon 2000, else 1000 to 1500 rows."""
     return max(1, horizon // 1000)
@@ -147,8 +165,7 @@ def run_episode(
     elif stride < 1:
         raise ValueError(f"stride must be >= 1 (got {stride})")
 
-    policy_rng = stream_rng(seed, POLICY_STREAM) if kind.kind == "ts" else None
-    policy = make_policy(kind, spec, horizon, lr_mode, policy_rng)
+    policy = make_policy(kind, spec, horizon, lr_mode, seed)
     select = policy.select
     update = policy.update
     arrivals = stream_rng(seed, ARRIVAL_STREAM)

@@ -346,24 +346,3 @@ class ThompsonSamplingPolicy:
                 best = a
         return best
 
-
-def make_policy(
-    kind: PolicyKind,
-    spec: EnvironmentSpec,
-    horizon: int,
-    lr_mode: str,
-    rng: Optional[np.random.Generator],
-):
-    """Instantiate the policy described by ``kind`` for one episode.
-
-    Only ``ts`` draws from ``rng``; the other kinds ignore it.
-    """
-    if kind.kind == "dolrm":
-        return DolRmPolicy(spec, horizon, lr_mode)
-    if kind.kind == "fixed":
-        return FixedMapPolicy(spec, kind.actions)
-    if kind.kind == "ucb":
-        return ClassicUcbPolicy(spec)
-    if kind.kind == "ts":
-        return ThompsonSamplingPolicy(spec, rng)
-    return OracleRmPolicy(spec, horizon, lr_mode)

@@ -11,7 +11,6 @@ criterion 9's fails on non-learners and on dolrm with a bonus cut, and
 that criterion 10's fails on ucb, ts and the same ablations.
 """
 
-import itertools
 import math
 import statistics
 import time
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 from dolrm.env import derived_bounds
-from dolrm.harness import ARRIVAL_STREAM, POLICY_STREAM, stream_rng
+from dolrm.harness import ARRIVAL_STREAM, POLICY_STREAM, make_policy, stream_rng
 from dolrm.estimator import ArmStatistics
 from dolrm.oracle import dinkelbach_theta_star, expected_ratio
 from dolrm.policies import (
@@ -30,7 +29,6 @@ from dolrm.policies import (
     OracleRmPolicy,
     PolicyKind,
     ThompsonSamplingPolicy,
-    make_policy,
 )
 from dolrm.runner import fit_loglog_slope, run_experiment, trace_run_id
 
@@ -100,18 +98,15 @@ def replicate(tmp_path_factory, spec, kinds, horizons=(HORIZON,), **overrides):
     return run_experiment(cfg)
 
 
-def capturing(make, kinds, horizons, policies):
+def capturing(make, policies):
     """``make`` wrapped to keep each episode's policy in ``policies``.
 
-    The runner builds one policy per episode, by kind, then horizon, then
-    seed; the wrapper keys each by (name, horizon, seed) in that order.
+    Each policy is keyed by its own call's (kind name, horizon, seed), so the
+    order in which the runner builds them does not matter.
     """
-    keys = itertools.product((kind.name for kind in kinds), horizons, SEEDS)
 
-    def make_and_keep(kind, spec, horizon, lr_mode, rng):
-        key = next(keys)
-        assert key[:2] == (kind.name, horizon), key
-        policies[key] = policy = make(kind, spec, horizon, lr_mode, rng)
+    def make_and_keep(kind, spec, horizon, lr_mode, seed):
+        policies[kind.name, horizon, seed] = policy = make(kind, spec, horizon, lr_mode, seed)
         return policy
 
     return make_and_keep
@@ -261,7 +256,7 @@ def p08_slope_run(tmp_path_factory, p08_spec, p08_optimal_map):
     kinds = (PolicyKind("dolrm"), *CONTROLS, p08_optimal_map)
     policies = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("dolrm.harness.make_policy", capturing(make_policy, kinds, SLOPE_HORIZONS, policies))
+        patch.setattr("dolrm.harness.make_policy", capturing(make_policy, policies))
         out = replicate(tmp_path_factory, p08_spec, kinds, SLOPE_HORIZONS)
     return out, time.perf_counter() - start, policies
 
@@ -269,15 +264,15 @@ def p08_slope_run(tmp_path_factory, p08_spec, p08_optimal_map):
 @pytest.fixture(scope="module")
 def p08_ablation_run(tmp_path_factory, p08_spec, p08_optimal_map):
     """The bundle and each episode's policy by (name, horizon, seed)."""
-    def make_ablation(kind, spec, horizon, lr_mode, rng):
+    def make_ablation(kind, spec, horizon, lr_mode, seed):
         if kind.label in ABLATIONS:
             return BonusAblatedDolRm(spec, horizon, lr_mode, *ABLATIONS[kind.label])
-        return make_policy(kind, spec, horizon, lr_mode, rng)
+        return make_policy(kind, spec, horizon, lr_mode, seed)
 
     kinds = (*(PolicyKind("dolrm", label=label) for label in ABLATIONS), p08_optimal_map)
     policies = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("dolrm.harness.make_policy", capturing(make_ablation, kinds, ABLATION_HORIZONS, policies))
+        patch.setattr("dolrm.harness.make_policy", capturing(make_ablation, policies))
         return replicate(tmp_path_factory, p08_spec, kinds, ABLATION_HORIZONS), policies
 
 
@@ -465,7 +460,7 @@ def test_acceptance_8_theta_convergence(criterion, p08_run, p06_run, seven_type_
 def test_theta_check_rejects_a_skewed_ratio_step(tmp_path_factory, p08_spec, monkeypatch):
     # the skewed step leaves oracle-rm's mean final ratio on p08 at 2.5993,
     # so the ratio criteria cannot see it; its theta ends near 2.889
-    def make_policy(kind, spec, horizon, lr_mode, rng):
+    def make_policy(kind, spec, horizon, lr_mode, seed):
         return SkewedStepOracleRm(spec, horizon, lr_mode)
 
     monkeypatch.setattr("dolrm.harness.make_policy", make_policy)
@@ -512,7 +507,7 @@ def test_pseudo_regret_capture_matches_the_trace_rows(tmp_path_factory, p08_spec
     # pseudo-regret; most seeds' sums differ, so keys on the wrong episodes fail
     kinds = (PolicyKind("dolrm"),)
     policies = {}
-    monkeypatch.setattr("dolrm.harness.make_policy", capturing(make_policy, kinds, (500,), policies))
+    monkeypatch.setattr("dolrm.harness.make_policy", capturing(make_policy, policies))
     bundle = replicate(tmp_path_factory, p08_spec, kinds, (500,), log_stride=1)
     for seed in SEEDS:
         path = bundle.output_dir / "traces" / f"trace-{trace_run_id('dolrm', 500, seed)}.csv"

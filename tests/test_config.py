@@ -361,6 +361,33 @@ def test_output_dir_given_as_a_path_fails_before_anything_is_written(tmp_path):
     assert not out.exists()
 
 
+# Fields of the wrong type that nothing else would catch before the run
+# reads them: a dict environment got as far as creating out/traces.
+UNTYPED_FIELDS = [
+    ({"environment": {"arrival_probs": [1.0]}}, "environment: expected an EnvironmentSpec, got dict"),
+    ({"policies": ("dolrm",)}, "policies[0]: expected a PolicyKind, got str"),
+    ({"seeds": range(2)}, "seeds: expected a list or tuple, got range"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", UNTYPED_FIELDS, ids=[m for _, m in UNTYPED_FIELDS])
+def test_untyped_field_fails_before_anything_is_written(tmp_path, overrides, message):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**config_fields(out, **overrides))
+    assert str(err.value) == message
+    assert not out.exists()
+
+
+def test_config_built_with_lists_hashes_and_round_trips(tmp_path):
+    fields = config_fields(tmp_path / "out", policies=[PolicyKind("dolrm")], horizons=[50], seeds=[0])
+    cfg = ExperimentConfig(**fields)
+    assert (cfg.policies, cfg.horizons, cfg.seeds) == ((PolicyKind("dolrm"),), (50,), (0,))
+    parsed = parse_config(write_config(tmp_path, config_echo(cfg), "echo.json"))
+    assert parsed == cfg
+    assert hash(parsed) == hash(cfg)
+
+
 # One case per JSON type check of parse_config: the config keys that break
 # it and the whole error, which starts with the key path.
 INLINE_ARMS = [[[1, 1]]]

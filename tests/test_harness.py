@@ -21,6 +21,7 @@ from dolrm.harness import (
     _seed_sequence,
     default_stride,
     feedback_noise,
+    make_policy,
     run_episode,
     sample_tasks,
     stream_rng,
@@ -31,7 +32,6 @@ from dolrm.policies import (
     DolRmPolicy,
     PolicyKind,
     ThompsonSamplingPolicy,
-    make_policy,
 )
 from dolrm.runner import _gap_slopes, fit_loglog_slope, run_experiment, summarize_finals
 
@@ -395,11 +395,10 @@ def scalar_replay(spec, kind, horizon, seed, stride):
     """The trace rows of one episode, replayed one round at a time."""
     arrival = stream_rng(seed, ARRIVAL_STREAM)
     feedback = stream_rng(seed, FEEDBACK_STREAM)
-    policy_rng = stream_rng(seed, POLICY_STREAM)
     if kind.kind == "ts":
-        policy = PerCallThompsonSampling(spec, policy_rng)
+        policy = PerCallThompsonSampling(spec, stream_rng(seed, POLICY_STREAM))
     else:
-        policy = make_policy(kind, spec, horizon, "decaying", policy_rng)
+        policy = make_policy(kind, spec, horizon, "decaying", seed)
     rows = []
     cum_r = cum_c = 0.0
     for t in range(1, horizon + 1):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dolrm.harness
 from dolrm.env import EnvironmentSpec, derived_bounds
 from dolrm.estimator import ArmStatistics
-from dolrm.harness import BLOCK, POLICY_STREAM, run_episode, stream_rng
+from dolrm.harness import BLOCK, POLICY_STREAM, make_policy, run_episode, stream_rng
 from dolrm.oracle import best_response
 from dolrm.policies import (
     DEFAULT_LR_MODE,
@@ -22,7 +22,6 @@ from dolrm.policies import (
     PolicyKind,
     ThompsonSamplingPolicy,
     greedy_arm,
-    make_policy,
     validate_policy_map,
 )
 
@@ -420,7 +419,7 @@ class TestDolRmPolicy:
         horizon = 2 * BLOCK + 1
         expected = run_episode(spec, PolicyKind("dolrm"), horizon, 5, lr_mode=lr_mode, stride=1)
 
-        def make_unablated(kind, spec, horizon, lr_mode, rng):
+        def make_unablated(kind, spec, horizon, lr_mode, seed):
             return BonusAblatedDolRm(spec, horizon, lr_mode, 1.0, 1.0)
 
         monkeypatch.setattr(dolrm.harness, "make_policy", make_unablated)
@@ -711,7 +710,7 @@ class TestOracleRm:
 @pytest.mark.parametrize("s, a", [(-1, 0), (1, -1)])
 def test_in_place_update_rejects_negative_cell(p08, kind, s, a):
     # Python would read index -1 as the last type or arm and use that cell.
-    policy = make_policy(PolicyKind(kind), p08, 100, DEFAULT_LR_MODE, np.random.default_rng(0))
+    policy = make_policy(PolicyKind(kind), p08, 100, DEFAULT_LR_MODE, 0)
     policy.select(1)
     with pytest.raises(IndexError, match="negative cell index"):
         policy.update(s, a, 1.0, 1.0)
@@ -729,7 +728,7 @@ def test_select_writes_nothing(kind):
     # ts is left out: each of its decisions consumes draws of its stream.
     spec = seven_type_env()
     policy_kind = PolicyKind(kind, (0,) * 7) if kind == "fixed" else PolicyKind(kind)
-    policy = make_policy(policy_kind, spec, 1000, DEFAULT_LR_MODE, np.random.default_rng(0))
+    policy = make_policy(policy_kind, spec, 1000, DEFAULT_LR_MODE, 0)
     rng = np.random.default_rng(1)
     # feedback on each type's arms in turn, so the greedy paths run; and no
     # select before the snapshot, so an attribute that select adds shows
@@ -754,26 +753,24 @@ def test_select_writes_nothing(kind):
 
 class TestMakePolicy:
     def test_builds_each_kind(self, p08):
-        rng = np.random.default_rng(0)
-        assert isinstance(make_policy(PolicyKind("dolrm"), p08, 10, "decaying", rng), DolRmPolicy)
-        assert isinstance(
-            make_policy(PolicyKind("fixed", (0, 0)), p08, 10, "decaying", rng),
-            FixedMapPolicy,
-        )
-        assert isinstance(make_policy(PolicyKind("ucb"), p08, 10, "decaying", rng), ClassicUcbPolicy)
-        assert isinstance(
-            make_policy(PolicyKind("ts"), p08, 10, "decaying", rng),
-            ThompsonSamplingPolicy,
-        )
-        assert isinstance(
-            make_policy(PolicyKind("oracle-rm"), p08, 10, "decaying", rng),
-            OracleRmPolicy,
-        )
+        assert isinstance(make_policy(PolicyKind("dolrm"), p08, 10, "decaying", 0), DolRmPolicy)
+        assert isinstance(make_policy(PolicyKind("fixed", (0, 0)), p08, 10, "decaying", 0), FixedMapPolicy)
+        assert isinstance(make_policy(PolicyKind("ucb"), p08, 10, "decaying", 0), ClassicUcbPolicy)
+        assert isinstance(make_policy(PolicyKind("ts"), p08, 10, "decaying", 0), ThompsonSamplingPolicy)
+        assert isinstance(make_policy(PolicyKind("oracle-rm"), p08, 10, "decaying", 0), OracleRmPolicy)
+
+    def test_ts_draws_the_policy_stream_of_its_seed(self, p08):
+        draws = []
+        for seed in (3, 4):
+            policy = make_policy(PolicyKind("ts"), p08, 10, "decaying", seed)
+            draws.append(policy.rng.standard_normal(8).tolist())
+            assert draws[-1] == stream_rng(seed, POLICY_STREAM).standard_normal(8).tolist()
+        assert draws[0] != draws[1]
 
     @pytest.mark.parametrize("kind", ["dolrm", "oracle-rm"])
     def test_unknown_lr_mode_fails_when_built(self, p08, kind):
         with pytest.raises(ValueError, match="'adagrad'"):
-            make_policy(PolicyKind(kind), p08, 10, "adagrad", np.random.default_rng(0))
+            make_policy(PolicyKind(kind), p08, 10, "adagrad", 0)
 
 
 def test_noiseless_learner_concentrates_on_the_optimal_map():

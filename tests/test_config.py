@@ -361,8 +361,8 @@ def test_output_dir_given_as_a_path_fails_before_anything_is_written(tmp_path):
     assert not out.exists()
 
 
-# Fields of the wrong type that nothing else would catch before the run
-# reads them: a dict environment got as far as creating out/traces.
+# Wrongly typed fields that no other rule catches; run_experiment would
+# read them only after creating the output directory.
 UNTYPED_FIELDS = [
     ({"environment": {"arrival_probs": [1.0]}}, "environment: expected an EnvironmentSpec, got dict"),
     ({"policies": ("dolrm",)}, "policies[0]: expected a PolicyKind, got str"),

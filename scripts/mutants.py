@@ -286,6 +286,26 @@ MUTANTS = [
         "        except OSError:\n            os.close(read_fd)\n            os.close(write_fd)\n            raise\n",
         "        except OSError:\n            raise\n",
     ),
+    # the writer child runs without the cyclic collector; the parent keeps its own
+    Mutant("writer-collects-cycles", RUNNER, "        gc.disable()\n", ""),
+    # bytes "%a" of None is "None": only "%.0a" leaves the theta field empty
+    Mutant("trace-theta-none-written", RUNNER, 'theta = "%.0a" if', 'theta = "%a" if'),
+    Mutant("config-read-in-locale", CONFIG, "json.loads(path.read_bytes())", "json.loads(path.read_text())"),
+    # a PolicyKind built in Python types its fields as a parsed one does
+    Mutant(
+        "policykind-label-untyped",
+        POLICIES,
+        "            if not isinstance(self.label, str):\n"
+        '                raise ValueError(f"label: expected a string, got {type(self.label).__name__}")\n',
+        "",
+    ),
+    Mutant(
+        "policykind-actions-any-iterable",
+        POLICIES,
+        "            if not isinstance(self.actions, (list, tuple)):\n"
+        '                raise ValueError(f"actions: expected a list or tuple, got {type(self.actions).__name__}")\n',
+        "",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(

@@ -284,7 +284,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_bytes())  # JSON is UTF-8, whatever the locale
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from None
     except ValueError as err:

@@ -90,14 +90,19 @@ class PolicyKind:
         if self.kind == "fixed":
             if self.actions is None:
                 raise ValueError("fixed policy needs 'actions' (one arm index per type)")
+            if not isinstance(self.actions, (list, tuple)):
+                raise ValueError(f"actions: expected a list or tuple, got {type(self.actions).__name__}")
             actions = tuple(as_int(a, f"actions[{i}]") for i, a in enumerate(self.actions))
             object.__setattr__(self, "actions", actions)
         elif self.actions is not None:
             raise ValueError(f"'actions' only applies to kind 'fixed', not {self.kind!r}")
-        if self.label is not None and not _LABEL_RE.match(self.label):
-            raise ValueError(
-                f"label {self.label!r} may only contain letters, digits, '.', '_', '-'"
-            )
+        if self.label is not None:
+            if not isinstance(self.label, str):
+                raise ValueError(f"label: expected a string, got {type(self.label).__name__}")
+            if not _LABEL_RE.match(self.label):
+                raise ValueError(
+                    f"label {self.label!r} may only contain letters, digits, '.', '_', '-'"
+                )
 
     @property
     def name(self) -> str:

@@ -21,12 +21,16 @@ JSON: an infinite or undefined (NaN) number is written as null.
 The traces are written by one forked writer process per run, in the order
 the episodes finish, while the next episode runs (``_TraceWriter``). Each
 trace crosses to it as one pickle, and the run drops the trace once it is
-handed over, so it holds one trace at a time. This needs ``os.fork``, so
-POSIX.
+handed over, so it holds one trace at a time. The writer formats each row
+with one bytes template and writes binary files, with its cyclic garbage
+collector off. This needs ``os.fork``, so POSIX.
+
+Every output is ASCII and written as bytes, so no locale encoding applies.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -53,7 +57,7 @@ def _tmp_sibling(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".tmp")
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     """Write the concatenated chunks to ``path`` through a ``.tmp`` sibling.
 
     ``path`` appears only once every chunk is written; if a chunk or the
@@ -62,7 +66,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """
     tmp = _tmp_sibling(path)
     try:
-        with tmp.open("w") as f:
+        with tmp.open("wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -82,7 +86,7 @@ def _finite_or_null(doc: Any) -> Any:
 
 
 def _write_json(path: Path, doc: Any) -> None:
-    _write_atomic(path, (json.dumps(_finite_or_null(doc), indent=2, allow_nan=False), "\n"))
+    _write_atomic(path, (json.dumps(_finite_or_null(doc), indent=2, allow_nan=False).encode(), b"\n"))
 
 
 def trace_run_id(policy: str, horizon: int, seed: int) -> str:
@@ -91,12 +95,12 @@ def trace_run_id(policy: str, horizon: int, seed: int) -> str:
 
 def write_trace(path: Path, trace: EpisodeTrace) -> None:
     head = f"{trace_run_id(trace.policy, trace.horizon, trace.seed)},{trace.policy},"
-    # "%.0s" writes a theta of None as an empty field.
-    theta = "%.0s" if trace.rows[-1][8] is None else "%.12g"
-    template = head.replace("%", "%%") + TRACE_ROW_FIELDS + theta + "\n"
+    # "%.0a" writes a theta of None as an empty field.
+    theta = "%.0a" if trace.rows[-1][8] is None else "%.12g"
+    template = (head.replace("%", "%%") + TRACE_ROW_FIELDS + theta + "\n").encode()
     rows = trace.rows
-    blocks = ("".join(map(template.__mod__, rows[i : i + BLOCK])) for i in range(0, len(rows), BLOCK))
-    _write_atomic(path, chain((TRACE_HEADER + "\n",), blocks))
+    blocks = (b"".join(map(template.__mod__, rows[i : i + BLOCK])) for i in range(0, len(rows), BLOCK))
+    _write_atomic(path, chain(((TRACE_HEADER + "\n").encode(),), blocks))
 
 
 def _write_traces_from(read_fd: int) -> None:
@@ -107,6 +111,11 @@ def _write_traces_from(read_fd: int) -> None:
     traceback of any failure to stderr. It ignores SIGINT, so a Ctrl-C to
     the process group interrupts the parent alone, which then waits here
     until every trace it handed over is written.
+
+    Its cyclic garbage collector is off: it only unpickles rows and formats
+    them, which builds no reference cycles, and with the collector on it
+    would scan every unpickled trace again and again. The parent's
+    collector is untouched.
     """
     status = 1
     try:
@@ -114,6 +123,7 @@ def _write_traces_from(read_fd: int) -> None:
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        gc.disable()
         with os.fdopen(read_fd, "rb") as pipe:
             while pipe.peek(1):  # empty once the parent has closed its end
                 write_trace(*pickle.load(pipe))
@@ -351,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
             "gap_slopes": gap_slopes,
         },
     )
-    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star),))
+    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star).encode(),))
 
     return OutputBundle(
         output_dir=out_dir,

@@ -1,4 +1,5 @@
 import errno
+import gc
 import itertools
 import json
 import math
@@ -276,6 +277,21 @@ class TestTraceWriter:
             assert len(trace.rows) == horizon
             assert path.read_text() == reference_trace_csv(trace)
 
+    def test_the_writer_alone_runs_without_the_cyclic_collector(self, tmp_path, monkeypatch):
+        # the child only unpickles and formats rows, so its collector is off;
+        # the parent's is left as it was
+        def write_trace_without_the_collector(path, trace):
+            assert not gc.isenabled(), "the writer's cyclic collector is on"
+            write_trace(path, trace)
+
+        monkeypatch.setattr(dolrm.runner, "write_trace", write_trace_without_the_collector)
+        assert gc.isenabled()
+        threshold = gc.get_threshold()
+        out = run_experiment(tiny_config(tmp_path))
+        assert gc.isenabled()
+        assert gc.get_threshold() == threshold
+        assert all(path.is_file() for path in out.trace_paths)
+
     def test_no_trace_outlives_its_hand_over(self, tmp_path, monkeypatch):
         # the run keeps each trace's path and final ratio, so the previous
         # trace is gone by the time the next episode starts
@@ -539,6 +555,39 @@ class TestCommandLine:
         assert "gap slope" not in proc.stdout
         assert (tmp_path / "results" / "summary.json").exists()
         assert (tmp_path / "results" / "traces" / "trace-reverse-T200-seed1.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "presets"])
+    def test_no_command_uses_the_locale_encoding(self, tmp_path, command):
+        # every text that dolrm reads or writes names its encoding, so an
+        # EncodingWarning, here an error, never fires; the writer child
+        # inherits the flags, and ucb's traces have an empty theta column
+        config = tmp_path / "cfg.json"
+        config.write_bytes(
+            json.dumps(
+                {
+                    "environment": {"arrival_probs": [0.8, 0.2], "arms": TWO_TYPE_ARMS},
+                    "environment_name": "café",
+                    "policies": [{"kind": "dolrm"}, {"kind": "ucb"}],
+                    "horizon": 20,
+                    "seeds": [0],
+                    "log_stride": 1,
+                    "output_dir": str(tmp_path / "results"),
+                },
+                ensure_ascii=False,
+            ).encode()
+        )
+        args = [] if command == "presets" else [str(config)]
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "dolrm", command, *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=CLI_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if command == "run":
+            echo = json.loads((tmp_path / "results" / "resolved_config.json").read_bytes())
+            assert echo["environment_name"] == "café"
 
     def test_run_reports_gap_slopes_for_horizon_grids(self, tmp_path):
         config = tmp_path / "cfg.json"

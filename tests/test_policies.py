@@ -233,6 +233,23 @@ class TestPolicyKind:
         with pytest.raises(ValueError, match=re.escape(message)):
             PolicyKind("fixed", (0, action))
 
+    # built in Python, not parsed: a wrong type is a ValueError naming the
+    # field, and no other iterable passes for the actions
+    @pytest.mark.parametrize(
+        "kind, actions, label, message",
+        [
+            ("dolrm", None, 5, "label: expected a string, got int"),
+            ("fixed", 5, None, "actions: expected a list or tuple, got int"),
+            ("fixed", {1: 0, 0: 1}, None, "actions: expected a list or tuple, got dict"),
+            ("fixed", {0, 1}, None, "actions: expected a list or tuple, got set"),
+            ("fixed", b"\x00\x01", None, "actions: expected a list or tuple, got bytes"),
+        ],
+        ids=["label-int", "actions-int", "actions-dict", "actions-set", "actions-bytes"],
+    )
+    def test_mistyped_field_is_a_value_error(self, kind, actions, label, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolicyKind(kind, actions, label)
+
     def test_rejects_label_with_bad_characters(self):
         with pytest.raises(ValueError, match="label"):
             PolicyKind("dolrm", label="has spaces")

@@ -42,6 +42,19 @@ RECORD_FOLD = (
     "        mean_r[a] = (mean_r[a] * n + reward) / n1\n"
     "        mean_c[a] = (mean_c[a] * n + cost) / n1\n"
 )
+SUMMARY_TABLE = "    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star).encode(),))\n"
+SUMMARY_JSON = (
+    "    _write_json(\n"
+    "        summary_json_path,\n"
+    "        {\n"
+    '            "environment": cfg.environment_name,\n'
+    "            **optimum,\n"
+    '            "fixed_map_expected_ratios": fixed_ratios,\n'
+    '            "results": [asdict(s) for s in summaries],\n'
+    '            "gap_slopes": gap_slopes,\n'
+    "        },\n"
+    "    )\n"
+)
 
 
 class Mutant(NamedTuple):
@@ -201,11 +214,38 @@ MUTANTS = [
         '        if s < 0:\n            raise IndexError(f"negative task type {s}")\n        stats = self.stats\n',
         "        stats = self.stats\n",
     ),
+    # EnvironmentSpec types its own numbers, however it was built
     Mutant(
         "number-accepts-bool",
+        ENV,
+        "    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):\n",
+        "    if not isinstance(value, (float, int, numbers.Real)):\n",
+    ),
+    Mutant(
+        "env-number-coerced",
+        ENV,
+        '        probs = tuple(as_number(p, f"arrival_probs[{s}]") for s, p in enumerate(self.arrival_probs))\n'
+        "        arms = tuple(\n"
+        "            tuple(\n"
+        '                (as_number(r, f"arms[{s}][{a}][0]"), as_number(c, f"arms[{s}][{a}][1]"))\n'
+        "                for a, (r, c) in enumerate(arms_s)\n"
+        "            )\n"
+        "            for s, arms_s in enumerate(self.arms)\n"
+        "        )\n",
+        "        probs = tuple(float(p) for p in self.arrival_probs)\n"
+        "        arms = tuple(tuple((float(r), float(c)) for r, c in arms_s) for arms_s in self.arms)\n",
+    ),
+    Mutant(
+        "env-sigma-unconverted",
+        ENV,
+        '        object.__setattr__(self, "noise_sigma", as_number(self.noise_sigma, "noise_sigma"))\n',
+        "",
+    ),
+    Mutant(
+        "echo-keeps-none-keys",
         CONFIG,
-        "    if isinstance(value, bool) or not isinstance(value, (int, float)):\n",
-        "    if not isinstance(value, (int, float)):\n",
+        '    echo["policies"] = [{k: v for k, v in kind.items() if v is not None} for kind in echo["policies"]]\n',
+        "",
     ),
     Mutant(
         "config-names-untyped",
@@ -288,6 +328,8 @@ MUTANTS = [
     ),
     # the writer child runs without the cyclic collector; the parent keeps its own
     Mutant("writer-collects-cycles", RUNNER, "        gc.disable()\n", ""),
+    # summary.json goes last: its presence means the run completed
+    Mutant("summary-json-before-table", RUNNER, SUMMARY_TABLE + SUMMARY_JSON, SUMMARY_JSON + SUMMARY_TABLE),
     # bytes "%a" of None is "None": only "%.0a" leaves the theta field empty
     Mutant("trace-theta-none-written", RUNNER, 'theta = "%.0a" if', 'theta = "%a" if'),
     Mutant("config-read-in-locale", CONFIG, "json.loads(path.read_bytes())", "json.loads(path.read_text())"),

@@ -8,11 +8,11 @@ experiments need no inline environment block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, TypeVar
 
-from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec
+from .env import DEFAULT_NOISE_SIGMA, EnvironmentSpec, as_number
 from .policies import DEFAULT_LR_MODE, LEARNING_RATE_MODES, PolicyKind, as_int, validate_policy_map
 
 DEFAULT_SEED_COUNT = 20
@@ -162,29 +162,16 @@ def _at_least(value: int, minimum: int, path: str) -> None:
         _fail(path, f"must be >= {minimum} (got {value})")
 
 
-def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        _fail(path, "integer too large for a float")
-
-
-def _as_is(value: Any, path: str) -> Any:
-    return value  # typed where it is built, in PolicyKind or ExperimentConfig
-
-
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _as_pair(value: Any, path: str) -> tuple[float, float]:
+def _as_pair(value: Any, path: str) -> list[Any]:
     if not isinstance(value, list) or len(value) != 2:
         _fail(path, "expected a [reward, cost] pair")
-    return _as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]")
+    return value  # its numbers are typed in EnvironmentSpec
 
 
 def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[EnvironmentSpec, str]:
@@ -205,7 +192,8 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
 
     raw_probs = _require(env, "arrival_probs", "environment.arrival_probs")
     raw_arms = _require(env, "arms", "environment.arms")
-    probs = _list_of(raw_probs, "environment.arrival_probs", "a list of probabilities", _as_number)
+    if not isinstance(raw_probs, list):
+        _fail("environment.arrival_probs", "expected a list of probabilities")
     arms = _list_of(
         raw_arms,
         "environment.arms",
@@ -214,7 +202,7 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
     )
     sigma = sigma_override
     if "noise_sigma" in env:
-        env_sigma = _as_number(env["noise_sigma"], "environment.noise_sigma")
+        env_sigma = as_number(env["noise_sigma"], "environment.noise_sigma", ConfigError)
         if sigma is None:
             sigma = env_sigma
         elif sigma != env_sigma:
@@ -225,7 +213,7 @@ def _parse_environment(raw: dict, sigma_override: Optional[float]) -> tuple[Envi
     _reject_unknown(env, {"arrival_probs", "arms", "noise_sigma"}, "environment.")
 
     try:
-        spec = EnvironmentSpec(probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma)
+        spec = EnvironmentSpec(raw_probs, arms, DEFAULT_NOISE_SIGMA if sigma is None else sigma)
     except ValueError as err:
         raise ConfigError(f"environment: {err}") from None
     return spec, name
@@ -235,32 +223,26 @@ def _parse_policy(entry: Any, path: str) -> PolicyKind:
     if not isinstance(entry, dict):
         _fail(path, f"expected an object, got {type(entry).__name__}")
     _reject_unknown(entry, {"kind", "actions", "label"}, f"{path}.")
-    kind = _as_str(_require(entry, "kind", f"{path}.kind"), f"{path}.kind")
-    actions = (
-        _list_of(entry["actions"], f"{path}.actions", "a list of arm indices", _as_is)
-        if "actions" in entry
-        else None
-    )
-    label = _as_str(entry["label"], f"{path}.label") if "label" in entry else None
+    kind = _require(entry, "kind", f"{path}.kind")
     try:
-        return PolicyKind(kind, actions, label)
+        return PolicyKind(kind, entry.get("actions"), entry.get("label"))
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_horizons(raw: dict) -> tuple[int, ...]:
+def _parse_horizons(raw: dict) -> Any:
     if "horizons" not in raw:
         horizon = _require(raw, "horizon", "horizon", " ('horizon' or 'horizons')")
         return (as_int(horizon, "horizon", ConfigError),)
     if "horizon" in raw:
         _fail("horizon", "give either 'horizon' or 'horizons', not both")
-    return _list_of(raw["horizons"], "horizons", "a list of integers", _as_is)
+    return raw["horizons"]
 
 
-def _parse_seeds(raw: dict) -> tuple[int, ...]:
+def _parse_seeds(raw: dict) -> Any:
     seeds = {} if raw.get("seeds") is None else raw["seeds"]
     if isinstance(seeds, list):
-        return _list_of(seeds, "seeds", "a list of integers", _as_is)
+        return seeds
     if isinstance(seeds, dict):
         _reject_unknown(seeds, {"count", "base"}, "seeds.")
         count = as_int(seeds.get("count", DEFAULT_SEED_COUNT), "seeds.count", ConfigError)
@@ -275,8 +257,11 @@ def _parse_seeds(raw: dict) -> tuple[int, ...]:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and fully resolve a JSON experiment config.
 
-    Parsing turns JSON into typed values; ``ExperimentConfig`` then checks
-    the rules that relate them.
+    Parsing checks what only a file can get wrong: required and unknown
+    keys, presets, ``horizon`` against ``horizons``, a seed count and base,
+    an environment's list shapes and the two ``noise_sigma`` keys it compares.
+    ``EnvironmentSpec``, ``PolicyKind`` and ``ExperimentConfig`` type their
+    own fields, so a rule gives one message for a parsed and a built config.
 
     Raises:
         ConfigError: on unreadable JSON, unknown presets, missing keys, type
@@ -295,7 +280,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     _reject_unknown(raw, _TOP_LEVEL_KEYS)
 
     sigma_override = (
-        _as_number(raw["noise_sigma"], "noise_sigma") if "noise_sigma" in raw else None
+        as_number(raw["noise_sigma"], "noise_sigma", ConfigError) if "noise_sigma" in raw else None
     )
     environment, env_name = _parse_environment(raw, sigma_override)
     return ExperimentConfig(
@@ -306,35 +291,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         ),
         horizons=_parse_horizons(raw),
         seeds=_parse_seeds(raw),
-        lr_mode=_as_str(raw.get("learning_rate", DEFAULT_LR_MODE), "learning_rate"),
+        lr_mode=raw.get("learning_rate", DEFAULT_LR_MODE),
         output_dir=raw.get("output_dir", DEFAULT_OUTPUT_DIR),
         log_stride=raw.get("log_stride"),
     )
 
 
-def policy_kind_echo(kind: PolicyKind) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": kind.kind}
-    if kind.actions is not None:
-        out["actions"] = list(kind.actions)
-    if kind.label is not None:
-        out["label"] = kind.label
-    return out
-
-
 def config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
     """JSON-ready resolved form; parsing it back reproduces cfg exactly."""
-    env = cfg.environment
-    return {
-        "environment": {
-            "arrival_probs": list(env.arrival_probs),
-            "arms": [[list(pair) for pair in arms_s] for arms_s in env.arms],
-            "noise_sigma": env.noise_sigma,
-        },
-        "environment_name": cfg.environment_name,
-        "policies": [policy_kind_echo(k) for k in cfg.policies],
-        "horizons": list(cfg.horizons),
-        "seeds": list(cfg.seeds),
-        "learning_rate": cfg.lr_mode,
-        "output_dir": cfg.output_dir,
-        "log_stride": cfg.log_stride,
-    }
+    echo = {("learning_rate" if key == "lr_mode" else key): value for key, value in asdict(cfg).items()}
+    echo["policies"] = [{k: v for k, v in kind.items() if v is not None} for kind in echo["policies"]]
+    return echo

@@ -7,19 +7,32 @@ cost.
 Observations are the means corrupted by additive Gaussian noise.
 
 This module is the model alone: the spec, its validation and what it
-derives. A spec validates itself when it is built, so every spec in hand
-is valid. Its table of true means and its bounds depend on the spec alone;
-a spec derives each once and keeps it outside its fields. It draws nothing
-and imports no numpy; the seeded arrival and noise draws live in ``harness``.
+derives. A spec types and validates itself when it is built, so every spec
+in hand is valid and holds floats, however it was built. Its table of true
+means and its bounds depend on the spec alone; a spec derives each once and
+keeps it outside its fields. It draws nothing and imports no numpy; the
+seeded arrival and noise draws live in ``harness``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 DEFAULT_NOISE_SIGMA = 1.0
+
+
+def as_number(value: object, path: str, error: type[ValueError] = ValueError) -> float:
+    """``float(value)`` if a real number (numpy's too), not a bool; else raises ``error`` naming ``path``."""
+    # float and int are matched before the slower numbers.Real ABC check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise error(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{path}: integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -33,7 +46,8 @@ class EnvironmentSpec:
             applied to both reward and cost samples.
 
     Raises:
-        ValueError: if a field breaks a rule of ``validate_env``.
+        ValueError: naming the index path of a value that ``as_number``
+            rejects, or if a field breaks a rule of ``validate_env``.
     """
 
     arrival_probs: tuple[float, ...]
@@ -41,16 +55,17 @@ class EnvironmentSpec:
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "arrival_probs", tuple(float(p) for p in self.arrival_probs)
-        )
-        object.__setattr__(
-            self,
-            "arms",
+        probs = tuple(as_number(p, f"arrival_probs[{s}]") for s, p in enumerate(self.arrival_probs))
+        arms = tuple(
             tuple(
-                tuple((float(r), float(c)) for r, c in arms_s) for arms_s in self.arms
-            ),
+                (as_number(r, f"arms[{s}][{a}][0]"), as_number(c, f"arms[{s}][{a}][1]"))
+                for a, (r, c) in enumerate(arms_s)
+            )
+            for s, arms_s in enumerate(self.arms)
         )
+        object.__setattr__(self, "arrival_probs", probs)
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "noise_sigma", as_number(self.noise_sigma, "noise_sigma"))
         validate_env(self)
 
     @property

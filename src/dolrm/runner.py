@@ -293,6 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     summary; grids of three or more horizons also get gap-decay slopes.
     Every trace is written before the JSON outputs and before this returns
     or raises; a failed trace write raises and leaves no summary.
+    ``summary.json`` is written last, so its presence means the run completed.
     """
     out_dir = Path(cfg.output_dir)
     traces_dir = out_dir / "traces"
@@ -351,6 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
         oracle_path,
         {**optimum, "iterations": oracle.iterations, "fixed_map_expected_ratios": fixed_ratios},
     )
+    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star).encode(),))
     _write_json(
         summary_json_path,
         {
@@ -361,7 +363,6 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
             "gap_slopes": gap_slopes,
         },
     )
-    _write_atomic(summary_table_path, (_summary_table(summaries, oracle.theta_star).encode(),))
 
     return OutputBundle(
         output_dir=out_dir,

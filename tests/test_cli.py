@@ -171,6 +171,19 @@ class TestRunExperiment:
         # crashed run finished left a trace
         assert sorted((first.output_dir / "traces").iterdir()) == sorted(first.trace_paths[:2])
 
+    def test_summary_json_is_written_last(self, tmp_path, monkeypatch):
+        # its presence means the run completed: a failure on any other
+        # output leaves no summary.json
+        def interrupted_summary_table(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dolrm.runner, "_summary_table", interrupted_summary_table)
+        cfg = tiny_config(tmp_path, policies=(PolicyKind("dolrm"),), seeds=(0,))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        assert (tmp_path / "out" / "resolved_config.json").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_duplicate_names_rejected_before_running(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate policy name 'dolrm'"):
             tiny_config(
@@ -717,7 +730,7 @@ class TestCommandLine:
         )
         proc = run_cli("oracle", str(config))
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: environment.arms[0][0][0]:")
+        assert proc.stderr.startswith("error: environment: arms[0][0][0]:")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command,reward", [("run", 0), ("oracle", 1)])

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from types import SimpleNamespace
+from dataclasses import asdict
 
 import pytest
 
@@ -17,7 +17,7 @@ from dolrm.config import (
 from dolrm.env import EnvironmentSpec
 from dolrm.policies import PolicyKind
 
-from support import two_type_env
+from support import TWO_TYPE_ARMS, two_type_env
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -298,6 +298,55 @@ def test_resolved_echo_round_trips(tmp_path):
     assert parse_config(path) == cfg
 
 
+# The echo of a config file with every kind of key: a preset with a top-level
+# sigma, an unlabelled learner (its None-valued keys dropped), a labelled
+# fixed map, a seed range, the step-size mode as "learning_rate" and a stride.
+PINNED_ECHO = {
+    "environment": {
+        "arrival_probs": [0.6, 0.4],
+        "arms": [[[3.0, 1.0]], [[3.0, 2.0], [1.0, 1.0]]],
+        "noise_sigma": 0.5,
+    },
+    "environment_name": "two-type-p06",
+    "policies": [{"kind": "dolrm"}, {"kind": "fixed", "actions": [0, 1], "label": "slow"}],
+    "horizons": [10, 20],
+    "seeds": [3, 4],
+    "learning_rate": "fixed-sqrtT",
+    "output_dir": "out",
+    "log_stride": 5,
+}
+
+
+def test_echo_is_pinned(tmp_path):
+    cfg = parse_config(
+        write_config(
+            tmp_path,
+            {
+                "environment": "two-type-p06",
+                "noise_sigma": 0.5,
+                "policies": [{"kind": "dolrm"}, {"kind": "fixed", "actions": [0, 1], "label": "slow"}],
+                "horizons": [10, 20],
+                "seeds": {"count": 2, "base": 3},
+                "learning_rate": "fixed-sqrtT",
+                "output_dir": "out",
+                "log_stride": 5,
+            },
+        )
+    )
+    # as JSON text, so the key order and each number's type are pinned too
+    assert json.dumps(config_echo(cfg)) == json.dumps(PINNED_ECHO)
+
+
+def test_built_spec_with_an_int_sigma_echoes_as_a_parsed_one(tmp_path):
+    spec = EnvironmentSpec((0.8, 0.2), TWO_TYPE_ARMS, 1)
+    cfg = ExperimentConfig(**config_fields(tmp_path / "out", environment=spec))
+    echo = json.dumps(config_echo(cfg))
+    assert '"noise_sigma": 1.0' in echo
+    parsed = parse_config(write_config(tmp_path, config_echo(cfg), "echo.json"))
+    assert parsed == cfg
+    assert json.dumps(config_echo(parsed)) == echo
+
+
 # One case per rule that ExperimentConfig checks: the fields that break it
 # and the start of the error it gives.
 BROKEN_RULES = [
@@ -323,6 +372,15 @@ BROKEN_RULES = [
 ]
 
 
+def config_file(fields):
+    """ExperimentConfig's fields as the keys of a config file, each value as given."""
+    doc = {("learning_rate" if key == "lr_mode" else key): value for key, value in fields.items()}
+    doc["environment"] = asdict(doc["environment"])
+    # a None-valued policy key reads as absent
+    doc["policies"] = [asdict(kind) for kind in doc["policies"]]
+    return doc
+
+
 def config_fields(out, **overrides):
     """ExperimentConfig's fields for a valid two-type run into ``out``, overridden."""
     return {
@@ -344,8 +402,7 @@ def test_each_rule_is_checked_where_the_config_is_built(tmp_path, overrides, mes
     fields = config_fields(out, **overrides)
     with pytest.raises(ConfigError, match=re.escape(message)) as built:
         ExperimentConfig(**fields)
-    # the same values as a config file: config_echo reads only the fields
-    path = write_config(tmp_path, config_echo(SimpleNamespace(**fields)))
+    path = write_config(tmp_path, config_file(fields))
     with pytest.raises(ConfigError) as parsed:
         parse_config(path)
     assert str(parsed.value) == str(built.value)
@@ -401,9 +458,12 @@ JSON_TYPE_ERRORS = [
     ({"noise_sigma": True}, "noise_sigma: expected a number, got bool"),
     (
         {"environment": {"arrival_probs": [1.0], "arms": [[[1, False]]]}},
-        "environment.arms[0][0][1]: expected a number, got bool",
+        "environment: arms[0][0][1]: expected a number, got bool",
     ),
-    ({"policies": [{"kind": 3}]}, "policies[0].kind: expected a string, got int"),
+    (
+        {"policies": [{"kind": 3}]},
+        "policies[0]: unknown policy kind 3; expected one of ('dolrm', 'fixed', 'ucb', 'ts', 'oracle-rm')",
+    ),
     ({"environment": ["two-type-p08"]}, "environment: expected a preset name or object, got list"),
     ({"policies": ["dolrm"]}, "policies[0]: expected an object, got str"),
     ({"seeds": 5}, "seeds: expected a list or a count/base object, got int"),

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dolrm.env import EnvironmentSpec, derived_bounds, validate_env
@@ -131,12 +132,33 @@ class TestFeedbackSampling:
 
 
 def test_spec_canonicalizes_numeric_types():
-    spec = EnvironmentSpec((1,), (((2, 1),),))
-    assert spec.arrival_probs == (1.0,)
-    assert spec.arms == (((2.0, 1.0),),)
-    assert isinstance(spec.arms[0][0][0], float)
-    assert spec.num_types == 1
-    assert spec.num_arms(0) == 1
+    # ints and numpy's real scalars are stored as floats, in every field
+    spec = EnvironmentSpec((np.float32(0.5), 0.5), (((2, np.int64(1)),), ((np.float32(1.5), 1),)), 1)
+    numbers = [*spec.arrival_probs, *(x for arms_s in spec.arms for pair in arms_s for x in pair), spec.noise_sigma]
+    assert [type(x) for x in numbers] == [float] * 7
+    assert spec == EnvironmentSpec((0.5, 0.5), (((2.0, 1.0),), ((1.5, 1.0),)), 1.0)
+    assert spec.num_types == 2
+    assert spec.num_arms(1) == 1
+
+
+# Each place a spec holds a number, built with ``x`` there, and the index
+# path that its error names
+NUMBER_PLACES = [
+    (lambda x: EnvironmentSpec((x,), (((1.0, 1.0),),)), "arrival_probs[0]"),
+    (lambda x: EnvironmentSpec((0.5, 0.5), (((1.0, 1.0),), ((1.0, 1.0), (x, 1.0)))), "arms[1][1][0]"),
+    (lambda x: EnvironmentSpec((1.0,), (((1.0, x),),)), "arms[0][0][1]"),
+    (lambda x: EnvironmentSpec((1.0,), (((1.0, 1.0),),), x), "noise_sigma"),
+]
+# float() takes all four, and a bool is an int to Python
+NOT_NUMBERS = [True, np.bool_(False), "1.0", b"1"]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=["bool", "numpy-bool", "str", "bytes"])
+@pytest.mark.parametrize("build, path", NUMBER_PLACES, ids=[path for _, path in NUMBER_PLACES])
+def test_spec_rejects_what_is_not_a_number(build, path, value):
+    with pytest.raises(ValueError) as err:
+        build(value)
+    assert str(err.value) == f"{path}: expected a number, got {type(value).__name__}"
 
 
 def test_bounds_are_finite_numbers(p08):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dolrm.config import PRESETS, ConfigError, config_echo, parse_config
+from dolrm.policies import PolicyKind
 
 BASE = {"policies": [{"kind": "dolrm"}], "horizon": 100}
 
@@ -40,6 +41,11 @@ class TestPreset:
 
 def test_null_seeds_mean_the_default_seeds(tmp_path):
     assert parse(tmp_path, environment="two-type-p08", seeds=None).seeds == tuple(range(20))
+
+
+def test_null_policy_keys_are_absent(tmp_path):
+    cfg = parse(tmp_path, environment="two-type-p08", policies=[{"kind": "ucb", "actions": None, "label": None}])
+    assert cfg.policies == (PolicyKind("ucb"),)
 
 
 def test_null_environment_is_missing(tmp_path):
